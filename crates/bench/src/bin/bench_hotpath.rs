@@ -14,13 +14,8 @@
 //! (`mesh8x8_seq` itself measures the tracing-compiled-in-but-disabled
 //! configuration, which the observability work must keep within noise).
 //!
-//! Kernel-vs-interpreter scenarios pin the execution path explicitly:
-//! `*_interp` forces the per-router interpreter ([`KernelMode::Off`]) and
-//! `*_kernel` forces the compiled SoA cycle kernel ([`KernelMode::Force`]);
-//! the unsuffixed scenarios run the default auto-detection. The emitted
-//! `kernel_speedup` is kernel over interpreter on the sequential hot
-//! path, and `kernel_stage_*_ns` break one timed kernel run down into its
-//! pipeline sweeps (absorb, SA, VA, RC, negedge, bridge).
+//! The emitted `stage_*_ns` break one timed sequential run down into the
+//! router pipeline's sweeps (absorb, SA, VA, RC, negedge, bridge).
 //!
 //! Usage: `cargo run --release -p hornet-bench --bin bench_hotpath [--baseline
 //! FILE] [--out FILE]`. When `--baseline` points at a previous emission, its
@@ -32,7 +27,6 @@ use hornet_core::engine::SyncMode;
 use hornet_core::sim::{SimulationBuilder, TrafficKind};
 use hornet_net::config::NetworkConfig;
 use hornet_net::geometry::Geometry;
-use hornet_net::kernel::KernelMode;
 use hornet_net::network::Network;
 use hornet_net::routing::RoutingKind;
 use hornet_net::vca::VcAllocKind;
@@ -52,9 +46,6 @@ struct Scenario {
     /// Per-tile trace-ring capacity; 0 leaves tracing disabled (the
     /// compiled-in-but-off configuration every other scenario measures).
     trace_events: usize,
-    /// Execution path: auto-detect, force the interpreter, or force the
-    /// compiled kernel. Results are bit-identical either way.
-    kernel: KernelMode,
 }
 
 fn run_scenario(s: &Scenario) -> (f64, u64) {
@@ -66,7 +57,6 @@ fn run_scenario(s: &Scenario) -> (f64, u64) {
         .threads(s.threads)
         .sync(s.sync)
         .trace_events(s.trace_events)
-        .kernel(s.kernel)
         .build()
         .expect("valid config");
     let start = Instant::now();
@@ -78,10 +68,10 @@ fn run_scenario(s: &Scenario) -> (f64, u64) {
     )
 }
 
-/// One timed kernel run on the canonical workload; returns the per-stage
-/// wall-clock breakdown in nanoseconds (absorb, SA, VA, RC, negedge,
-/// bridge).
-fn kernel_stage_breakdown() -> Option<Vec<(&'static str, u128)>> {
+/// One timed sequential run on the canonical workload; returns the
+/// per-stage wall-clock breakdown in nanoseconds (absorb, SA, VA, RC,
+/// negedge, bridge).
+fn stage_breakdown() -> Option<Vec<(&'static str, u128)>> {
     let geometry = Arc::new(Geometry::mesh2d(8, 8));
     let pattern = SyntheticPattern::Transpose;
     let cfg = NetworkConfig::new((*geometry).clone())
@@ -104,7 +94,6 @@ fn kernel_stage_breakdown() -> Option<Vec<(&'static str, u128)>> {
             )),
         );
     }
-    network.set_kernel_mode(KernelMode::Force);
     network.set_kernel_timing(true);
     network.run(MEASURED_CYCLES);
     let t = network.kernel_stage_times()?;
@@ -174,42 +163,18 @@ fn main() {
             threads: 1,
             sync: SyncMode::CycleAccurate,
             trace_events: 0,
-            kernel: KernelMode::Auto,
-        },
-        Scenario {
-            name: "mesh8x8_seq_interp",
-            threads: 1,
-            sync: SyncMode::CycleAccurate,
-            trace_events: 0,
-            kernel: KernelMode::Off,
-        },
-        Scenario {
-            name: "mesh8x8_seq_kernel",
-            threads: 1,
-            sync: SyncMode::CycleAccurate,
-            trace_events: 0,
-            kernel: KernelMode::Force,
         },
         Scenario {
             name: "mesh8x8_t4_periodic5",
             threads: 4,
             sync: SyncMode::Periodic(5),
             trace_events: 0,
-            kernel: KernelMode::Auto,
-        },
-        Scenario {
-            name: "mesh8x8_t4_periodic5_interp",
-            threads: 4,
-            sync: SyncMode::Periodic(5),
-            trace_events: 0,
-            kernel: KernelMode::Off,
         },
         Scenario {
             name: "mesh8x8_seq_traced",
             threads: 1,
             sync: SyncMode::CycleAccurate,
             trace_events: 1 << 16,
-            kernel: KernelMode::Auto,
         },
     ];
 
@@ -241,19 +206,12 @@ fn main() {
         println!("tracing overhead       {overhead_pct:>12.2} %");
         current_fields.push(format!("\"tracing_overhead_pct\": {overhead_pct:.2}"));
     }
-    // Kernel-over-interpreter speedup on the sequential hot path.
-    let (interp, kernel) = (cps_of("mesh8x8_seq_interp"), cps_of("mesh8x8_seq_kernel"));
-    if interp > 0.0 {
-        let speedup = kernel / interp;
-        println!("kernel speedup         {speedup:>12.2} x");
-        current_fields.push(format!("\"kernel_speedup\": {speedup:.2}"));
-    }
-    if let Some(stages) = kernel_stage_breakdown() {
+    if let Some(stages) = stage_breakdown() {
         let total: u128 = stages.iter().map(|(_, ns)| ns).sum();
         for (stage, ns) in &stages {
             let pct = (*ns * 100).checked_div(total).unwrap_or(0);
-            println!("kernel stage {stage:<10} {ns:>12} ns ({pct:>2} %)");
-            current_fields.push(format!("\"kernel_stage_{stage}_ns\": {ns}"));
+            println!("stage {stage:<10} {ns:>12} ns ({pct:>2} %)");
+            current_fields.push(format!("\"stage_{stage}_ns\": {ns}"));
         }
     }
     for (key, median) in criterion_medians() {

@@ -36,7 +36,7 @@
 
 use hornet_net::geometry::Topology;
 use hornet_net::ids::Cycle;
-use hornet_net::kernel::{KernelMode, MeshKernel};
+use hornet_net::kernel::MeshKernel;
 use hornet_net::network::{Network, NetworkNode};
 use hornet_net::payload::PayloadStore;
 use hornet_net::stats::NetworkStats;
@@ -104,12 +104,6 @@ pub struct EngineConfig {
     /// `sched_setaffinity`; a no-op elsewhere). Takes effect when the worker
     /// pool is created, i.e. on the first parallel run.
     pub pin_threads: bool,
-    /// Whether to run tiles through the compiled SoA cycle kernel
-    /// ([`hornet_net::kernel::MeshKernel`]). The kernel is bit-identical to
-    /// the per-router interpreter; configurations it cannot specialize
-    /// (adaptive routing, bidirectional links, >64 VCs per tile) silently
-    /// fall back to the interpreter.
-    pub kernel: KernelMode,
 }
 
 impl Default for EngineConfig {
@@ -119,7 +113,6 @@ impl Default for EngineConfig {
             sync: SyncMode::CycleAccurate,
             fast_forward: false,
             pin_threads: false,
-            kernel: KernelMode::Auto,
         }
     }
 }
@@ -380,14 +373,10 @@ impl ParallelEngine {
 
     fn run_sequential(&mut self, cycles: Cycle, detect_completion: bool) {
         let end = self.cycle + cycles;
-        // Compiled per run: the kernel holds no authoritative state, only
-        // derived acceleration structures, so dropping it at the end keeps
+        // Built per run: the sweep holds no authoritative state, only
+        // derived cross-tile structures, so dropping it at the end keeps
         // snapshots and node access between runs unconstrained.
-        let mut kernel = if self.config.kernel.enabled() {
-            MeshKernel::compile(&self.nodes, false)
-        } else {
-            None
-        };
+        let mut kernel = MeshKernel::compile(&self.nodes, false);
         while self.cycle < end {
             if detect_completion && self.finished() && self.is_idle() {
                 return;
@@ -420,17 +409,8 @@ impl ParallelEngine {
                 }
             }
             let now = self.cycle + 1;
-            if let Some(k) = kernel.as_mut() {
-                k.posedge(&mut self.nodes, now);
-                k.negedge(&mut self.nodes, now);
-            } else {
-                for n in &mut self.nodes {
-                    n.posedge(now);
-                }
-                for n in &mut self.nodes {
-                    n.negedge(now);
-                }
-            }
+            kernel.posedge(&mut self.nodes, now);
+            kernel.negedge(&mut self.nodes, now);
             self.cycle = now;
         }
     }
@@ -464,7 +444,6 @@ impl ParallelEngine {
             telemetry_every: self.telemetry_every,
             trace_runtime: self.trace_capacity,
             live: self.live_hub.clone(),
-            kernel: self.config.kernel,
         };
         let pin = self.config.pin_threads;
         let runtime = self.runtime.get_or_insert_with(|| {
@@ -530,7 +509,6 @@ mod tests {
                 sync,
                 fast_forward: false,
                 pin_threads: false,
-                kernel: KernelMode::Auto,
             },
         )
     }
@@ -684,7 +662,6 @@ mod tests {
                     sync: SyncMode::CycleAccurate,
                     fast_forward: ff,
                     pin_threads: false,
-                    kernel: KernelMode::Auto,
                 },
             );
             engine.run(2_000);
@@ -739,7 +716,6 @@ mod tests {
                     sync,
                     fast_forward: true,
                     pin_threads: false,
-                    kernel: KernelMode::Auto,
                 },
             );
             assert!(engine.run_to_completion(1_000_000), "must complete");

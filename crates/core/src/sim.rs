@@ -149,7 +149,6 @@ pub struct SimulationBuilder {
     sync: SyncMode,
     fast_forward: bool,
     pin_threads: bool,
-    kernel: KernelMode,
     power: Option<PowerOptions>,
     trace_events: usize,
     profile: bool,
@@ -185,7 +184,6 @@ impl SimulationBuilder {
             sync: SyncMode::CycleAccurate,
             fast_forward: false,
             pin_threads: false,
-            kernel: KernelMode::Auto,
             power: None,
             trace_events: 0,
             profile: false,
@@ -298,13 +296,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Selects whether tiles run through the compiled SoA cycle kernel
-    /// ([`hornet_net::kernel::MeshKernel`]) or the per-router interpreter.
-    /// The default, [`KernelMode::Auto`], uses the kernel whenever the
-    /// configuration is eligible (and honors the `HORNET_KERNEL` environment
-    /// variable); results are bit-identical either way.
-    pub fn kernel(mut self, mode: KernelMode) -> Self {
-        self.kernel = mode;
+    /// Selects nothing: every run uses the one router pipeline
+    /// ([`hornet_net::kernel::MeshKernel`]). Kept only so the benchmark's
+    /// builder calls keep compiling.
+    pub fn kernel(self, _mode: KernelMode) -> Self {
         self
     }
 
@@ -466,7 +461,6 @@ impl SimulationBuilder {
                 sync: self.sync,
                 fast_forward: self.fast_forward,
                 pin_threads: self.pin_threads,
-                kernel: self.kernel,
             },
         );
         if self.trace_events > 0 {

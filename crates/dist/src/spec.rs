@@ -164,8 +164,8 @@ pub struct DistSpec {
     pub telemetry_every: Option<u64>,
     /// Per-tile event-trace ring capacity (tracing off when `None`).
     pub trace_capacity: Option<u32>,
-    /// Compiled-kernel selection for the shard hot loop (bit-identical to
-    /// the interpreter either way; ineligible configurations fall back).
+    /// Selects nothing (there is one router pipeline) and is not sent on
+    /// the wire; kept only so the benchmark's spec literals keep compiling.
     pub kernel: KernelMode,
 }
 
@@ -427,11 +427,6 @@ impl DistSpec {
             .u64(self.telemetry_every.unwrap_or(0));
         e.u8(u8::from(self.trace_capacity.is_some()))
             .u32(self.trace_capacity.unwrap_or(0));
-        e.u8(match self.kernel {
-            KernelMode::Auto => 0,
-            KernelMode::Off => 1,
-            KernelMode::Force => 2,
-        });
     }
 
     /// Decodes a spec written by [`encode`](Self::encode).
@@ -548,12 +543,6 @@ impl DistSpec {
             let v = d.u32()?;
             some.then_some(v)
         };
-        let kernel = match d.u8()? {
-            0 => KernelMode::Auto,
-            1 => KernelMode::Off,
-            2 => KernelMode::Force,
-            _ => return Err(bad("kernel mode")),
-        };
         Ok(Self {
             width,
             height,
@@ -578,7 +567,7 @@ impl DistSpec {
             checkpoint_every,
             telemetry_every,
             trace_capacity,
-            kernel,
+            kernel: KernelMode::Auto,
         })
     }
 }
@@ -611,7 +600,6 @@ mod tests {
             checkpoint_every: Some(256),
             telemetry_every: Some(1_000),
             trace_capacity: Some(4_096),
-            kernel: KernelMode::Force,
             ..DistSpec::default()
         };
         let mut e = Enc::new();

@@ -20,4 +20,5 @@ pub use hornet_net::codec::{
 /// shard assignments (fault-tolerant supervision).
 /// v4: periodic telemetry samples (`CtrlMsg::Telemetry`), stall profiles and
 /// event-trace blobs in the final report, telemetry/trace knobs in the spec.
-pub const WIRE_VERSION: u32 = 4;
+/// v5: the spec no longer carries a kernel-mode byte (one router pipeline).
+pub const WIRE_VERSION: u32 = 5;

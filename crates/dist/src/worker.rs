@@ -118,8 +118,6 @@ pub struct ShardWorker {
     pub telemetry_every: Option<u64>,
     /// Per-tile event-trace ring capacity (0 disables tracing).
     pub trace_capacity: usize,
-    /// Compiled-kernel selection for the shard hot loop.
-    pub kernel: hornet_net::kernel::KernelMode,
     /// Control-plane state.
     pub control: WorkerControl,
 }
@@ -151,7 +149,6 @@ impl ShardWorker {
             checkpoint_every: spec.checkpoint_every,
             telemetry_every: spec.telemetry_every,
             trace_capacity: spec.trace_capacity.unwrap_or(0) as usize,
-            kernel: spec.kernel,
             control,
         }
     }
@@ -201,7 +198,6 @@ impl ShardWorker {
             checkpoint_every,
             telemetry_every,
             trace_capacity,
-            kernel,
             control,
         } = self;
         if trace_capacity > 0 {
@@ -244,7 +240,6 @@ impl ShardWorker {
             // imbalance summary needs every shard's breakdown.
             profile: true,
             telemetry_every,
-            kernel,
         })?;
 
         let mut trace = TraceDump::default();

@@ -188,7 +188,6 @@ fn sharded_resume_from_sequential_snapshot_is_bit_identical() {
                 telemetry_every: None,
                 trace_runtime: 0,
                 live: None,
-                kernel: hornet_net::kernel::KernelMode::Auto,
             },
         );
         assert_eq!(outcome.final_cycle, total, "seed {seed} cut {cut}: cycle");

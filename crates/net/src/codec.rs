@@ -136,6 +136,20 @@ impl<'a> Dec<'a> {
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "invalid UTF-8"))
     }
 
+    /// Reads a `u32` element count and rejects it unless the remaining
+    /// bytes can hold that many elements of at least `min_elem_bytes` each,
+    /// so a corrupt count never drives an allocation or a long decode loop.
+    pub fn count(&mut self, min_elem_bytes: usize) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("element count {n} exceeds the remaining input"),
+            ));
+        }
+        Ok(n)
+    }
+
     pub fn blob(&mut self) -> io::Result<&'a [u8]> {
         let n = self.u32()? as usize;
         self.take(n)
@@ -374,6 +388,18 @@ pub fn decode_stats(d: &mut Dec) -> io::Result<NetworkStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counts_the_input_cannot_hold_are_rejected() {
+        let mut e = Enc::new();
+        e.u32(2).u64(1).u64(2);
+        assert_eq!(Dec::new(e.bytes()).count(8).unwrap(), 2);
+        let err = Dec::new(e.bytes()).count(9).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut e = Enc::new();
+        e.u32(u32::MAX);
+        assert!(Dec::new(e.bytes()).count(1).is_err());
+    }
 
     fn flit() -> Flit {
         Flit {

@@ -1,52 +1,55 @@
-//! The compiled shard-local cycle kernel.
+//! The router pipeline: one mask-driven, stage-major sweep over a tile set.
 //!
-//! The reference simulator interprets one [`Router`] object at a time,
-//! walking every ingress VC of every tile through absorb → SA → VA → RC each
-//! cycle. That per-object, per-VC dispatch is exactly the overhead the BEE
-//! and Parendi lines of work remove by *compiling* the simulated fabric into
-//! flat batched execution streams. [`MeshKernel`] is that move for a shard of
-//! tiles: at build time it lowers the shard's routers into contiguous
-//! structure-of-arrays acceleration state — a flat, tile-major array of VC
-//! buffer handles, per-tile occupancy bitmasks for every pipeline predicate
-//! (cached head present, Routed, Active, Dropping, touched-since-last-edge) —
-//! and then sweeps each pipeline stage across *all* tiles in tight
-//! bit-iteration loops that only ever visit VCs the stage can act on.
+//! Every backend — `Network::step`, the engine's sequential path and each
+//! shard of the sharded and distributed runtimes — advances its tiles by
+//! calling [`MeshKernel::posedge`] and [`MeshKernel::negedge`]. The sweep runs
+//! each pipeline stage across *all* tiles before the next stage starts:
 //!
-//! Two properties make the kernel fast without forking the model:
+//! 1. **absorb** — make newly deposited flits visible and refresh the cached
+//!    head flits;
+//! 2. **SA** — switch arbitration, per flit;
+//! 3. **VA** — VC allocation, per packet;
+//! 4. **RC** — route computation, per packet (including the adaptive
+//!    free-space choice);
+//! 5. the agent ticks;
+//!
+//! and at the negative edge the router half (staged moves and drops, then
+//! bandwidth-adaptive demand publication) followed by the bridge half.
+//!
+//! Each stage collects its candidates by walking the routers' predicate
+//! masks ([`VcMasks`](crate::router::VcMasks): cached head, Routed, Active,
+//! Dropping), so it only ever visits VCs it can act on. Two properties make
+//! the sweep cheap:
 //!
 //! * **Quiet tiles cost O(1).** A tile with no buffered flit skips absorb,
 //!   SA, VA and RC entirely (one aggregate atomic load + clearing any stale
 //!   cached heads, found by bitmask). Per-cycle cost scales with *activity*,
 //!   not with fabric size.
-//! * **Untouched VCs cost nothing.** A VC is re-absorbed (one lock) only when
-//!   something touched it since the previous positive edge: a local pop, a
-//!   downstream push from a neighbour tile (tracked through a pointer→bit
-//!   map), a bridge injection, or a boundary delivery
-//!   ([`note_external_push`](MeshKernel::note_external_push)). For an
-//!   untouched VC the interpreter's absorb is a provable no-op, so skipping
-//!   it is invisible.
+//! * **Untouched VCs cost nothing.** A VC is re-absorbed only when something
+//!   pushed into it since the previous positive edge: a downstream push from
+//!   a neighbour tile (tracked through a frozen egress → VC table), a bridge
+//!   injection, or a boundary delivery
+//!   ([`note_external_push`](MeshKernel::note_external_push)).
 //!
-//! The kernel holds **no authoritative state**: VC state machines, head
-//! caches, staged moves, statistics and the clock all stay on the routers, so
-//! snapshot/restore, telemetry and the ledger read the tiles exactly as they
-//! do under the interpreter, with no flush step. Every stage replicates the
-//! interpreter's code path — including its per-tile RNG draw sequence and
-//! stat-counting order — so kernel and interpreter runs are bit-identical in
-//! statistics *and* canonical flit traces. Stage-major execution across tiles
-//! is safe because positive-edge cross-tile reads (occupancy, free space) are
-//! phase-stable: buffers change only at the negative edge.
+//! The sweep holds only the cross-tile parts: the dirty-push masks, the busy
+//! tile list, the stage timers and the shared per-stage scratch. VC state,
+//! head caches, masks, staged moves, statistics and the clock stay on the
+//! routers, so snapshot/restore, telemetry and the ledger read the tiles
+//! directly. Stage-major execution across tiles is exact because the
+//! cross-tile reads of the positive edge (downstream occupancy and free
+//! space, link bandwidth) are phase-stable — buffers and link demand change
+//! only at the negative edge — and each tile keeps its own RNG draw order
+//! (SA, VA, RC, agents).
 //!
-//! Configurations the flat specialization cannot represent — adaptive routing
-//! (extra RNG draws keyed to cross-tile free space), bandwidth-adaptive
-//! bidirectional links (negative-edge demand publication), more than 64 VCs
-//! on one tile, or egress channels pointing outside the compiled tile set —
-//! make [`MeshKernel::compile`] return `None` and the caller falls back to
-//! the interpreter.
+//! Debug builds assert the sweep's invariants after every edge: each
+//! router's masks equal the masks derived from its VC states and head cache,
+//! every cached head equals its buffer's absorbed head, and no VC left
+//! un-dirtied has anything to absorb.
 
 use crate::boundary::EgressChannel;
-use crate::ids::{Cycle, VcId};
+use crate::ids::{Cycle, FlowId, VcId};
 use crate::network::NetworkNode;
-use crate::router::{pick_weighted, SaCandidate, StagedMove, VcState};
+use crate::router::{pick_weighted, Router, StagedMove, VcState};
 use crate::routing::NextHop;
 use crate::vca::{DownstreamVc, VcaRequest};
 use crate::vcbuf::VcBuffer;
@@ -57,66 +60,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a backend executes router cycles: interpreter, compiled kernel, or
-/// auto-detection.
-///
-/// `Auto` (the default) compiles the kernel whenever the configuration is
-/// eligible and honours the `HORNET_KERNEL` environment variable (`off`
-/// disables, `on`/`force` insists). Explicit `Off`/`Force` always win over
-/// the environment, so programmatic selections are immune to it. `Force`
-/// still falls back to the interpreter when the configuration is ineligible —
-/// both paths are bit-identical, so the choice is purely about speed.
+/// Selects nothing: there is one router pipeline. Kept only so the
+/// benchmark's calls (`SimulationBuilder::kernel`, `DistSpec::kernel`) keep
+/// compiling.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelMode {
-    /// Use the kernel when eligible; consult `HORNET_KERNEL`.
+    /// The only pipeline.
     #[default]
     Auto,
-    /// Always interpret.
-    Off,
-    /// Use the kernel whenever the configuration is eligible, ignoring the
-    /// environment.
-    Force,
 }
 
-impl KernelMode {
-    /// Applies the `HORNET_KERNEL` environment override (consulted only in
-    /// `Auto` mode).
-    pub fn resolved(self) -> KernelMode {
-        match self {
-            KernelMode::Auto => match std::env::var("HORNET_KERNEL") {
-                Ok(v) => match v.to_ascii_lowercase().as_str() {
-                    "off" | "0" | "interp" | "interpreter" => KernelMode::Off,
-                    "on" | "1" | "force" | "kernel" => KernelMode::Force,
-                    _ => KernelMode::Auto,
-                },
-                Err(_) => KernelMode::Auto,
-            },
-            explicit => explicit,
-        }
-    }
-
-    /// True unless the resolved mode disables the kernel.
-    pub fn enabled(self) -> bool {
-        !matches!(self.resolved(), KernelMode::Off)
-    }
-}
-
-impl std::str::FromStr for KernelMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(KernelMode::Auto),
-            "off" | "interp" | "interpreter" => Ok(KernelMode::Off),
-            "on" | "force" | "kernel" => Ok(KernelMode::Force),
-            other => Err(format!(
-                "unknown kernel mode {other:?} (expected auto|off|force)"
-            )),
-        }
-    }
-}
-
-/// Accumulated wall-clock time per kernel pipeline stage (all zero unless
-/// timing was enabled at compile time).
+/// Accumulated wall-clock time per pipeline stage (all zero unless timing
+/// was enabled at compile time).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimes {
     /// Absorb + head-snapshot + quiet-tile triage.
@@ -127,52 +82,45 @@ pub struct StageTimes {
     pub va: Duration,
     /// Route computation (per packet).
     pub rc: Duration,
-    /// Negative edge, router half: staged moves and drops.
+    /// Negative edge, router half: staged moves, drops, demand publication.
     pub negedge: Duration,
     /// Negative edge, bridge half: ejected-flit hand-off and injection.
     pub bridge: Duration,
 }
 
-/// Per-flat-VC location: which tile and which bit within the tile's masks.
-#[inline]
-fn pack_loc(tile: usize, bit: usize) -> u64 {
-    ((tile as u64) << 6) | bit as u64
+/// A VC ready to move a flit this cycle (switch-arbitration scratch entry).
+#[derive(Clone, Copy, Debug)]
+struct SaCandidate {
+    /// Ingress port of the VC (for the per-port grant limit).
+    ingress: usize,
+    /// VC number.
+    vc: usize,
+    egress: usize,
+    out_vc: usize,
+    next_flow: FlowId,
 }
 
-/// The compiled cycle kernel for one shard's tiles (see the module docs).
+/// Packs a dirty-mask location: global word index and bit within it.
+#[inline]
+fn pack_loc(word: usize, bit: usize) -> u64 {
+    ((word as u64) << 6) | bit as u64
+}
+
+/// The router pipeline over one tile set (see the module docs).
 pub struct MeshKernel {
-    /// Flat, tile-major clones of every ingress VC buffer; tile `t` owns
-    /// `vcs[tile_off[t]..tile_off[t + 1]]`, inner order `(port, vc)`
-    /// ascending — identical to the router's own `head_cache` layout, so a
-    /// tile-local bit index doubles as the router's head-cache index.
-    vcs: Vec<Arc<VcBuffer>>,
-    /// Ingress port of each flat VC.
-    vc_port: Vec<u32>,
-    /// VC index within its ingress port of each flat VC.
-    vc_sub: Vec<u32>,
-    /// Start of each tile's slice in `vcs` (length `tiles + 1`).
-    tile_off: Vec<u32>,
-    /// `Arc::as_ptr` of every ingress VC buffer → packed (tile, bit), for
-    /// marking the downstream VC dirty when a negative-edge push lands in it.
+    /// Start of each tile's words in `dirty` / `inj_mask` (length
+    /// `tiles + 1`); tile `t`'s word `w` covers its VC numbers
+    /// `64 * w .. 64 * w + 63`, like the router's own masks.
+    tile_words: Vec<u32>,
+    /// `Arc::as_ptr` of every ingress VC buffer → packed dirty location, for
+    /// out-of-band pushes ([`note_external_push`](Self::note_external_push)).
     by_ptr: HashMap<usize, u64>,
     /// Bits covering each tile's injection-port VCs (bridge injections).
     inj_mask: Vec<u64>,
-    /// Bits covering each tile's full VC range.
-    valid: Vec<u64>,
-    // --- per-tile pipeline predicates (bit set ⇔ predicate holds) ---
-    /// The router's cached head snapshot is `Some` for this VC.
-    head_mask: Vec<u64>,
-    /// VC state is `Routed`.
-    routed: Vec<u64>,
-    /// VC state is `Active`.
-    active: Vec<u64>,
-    /// VC state is `Dropping`.
-    dropping: Vec<u64>,
-    /// VC received a push since the last positive edge and needs its absorb
-    /// cursor advanced (and, if it had no cached head, a fresh head peek).
-    /// Pops need no mask: the negative edge refreshes the head cache in
-    /// place, since the successor flit is already absorbed (pops never move
-    /// the absorb boundary).
+    /// VCs that received a push since the last positive edge and need their
+    /// absorb cursor advanced (and, without a cached head, a fresh head
+    /// peek). Pops need no mask: the negative edge refreshes the head cache
+    /// in place, since the successor flit is already absorbed.
     dirty: Vec<u64>,
     // --- shared per-cycle scratch (one set for all tiles) ---
     /// Tiles with at least one buffered flit this positive edge.
@@ -185,18 +133,23 @@ pub struct MeshKernel {
     staged_count: Vec<u32>,
     staged_stamp: Vec<u64>,
     staged_gen: u64,
-    /// Stride of the staged tables (widest egress port across all tiles).
+    /// Stride of the staged and downstream tables (widest egress port
+    /// across all tiles).
     stride: usize,
-    /// Packed (tile, bit) of the ingress VC each local egress channel feeds,
-    /// indexed `tile * egress_stride + egress * stride + out_vc`
-    /// (`u64::MAX` for ejection/non-local channels). Topology is static, so
-    /// resolving push targets through this flat table replaces a per-move
-    /// `by_ptr` hash lookup on the negative edge.
+    /// Packed dirty location of the ingress VC each local egress channel
+    /// feeds, indexed `tile * egress_stride + egress * stride + out_vc`
+    /// (`u64::MAX` for ejection and boundary channels). Topology is static,
+    /// so resolving push targets through this flat table replaces a
+    /// per-move hash lookup on the negative edge.
     egress_target: Vec<u64>,
     /// Row length of `egress_target` per tile (`max_egress * stride`).
     egress_stride: usize,
-    route_scratch: Vec<NextHop>,
+    /// Per-egress downstream snapshots built by VA, valid for the tile
+    /// currently in VA while `downstream_stamp[egress] == downstream_gen`.
     downstream_scratch: Vec<DownstreamVc>,
+    downstream_stamp: Vec<u64>,
+    downstream_gen: u64,
+    route_scratch: Vec<NextHop>,
     vca_scratch: Vec<(VcId, f64)>,
     timing: bool,
     times: StageTimes,
@@ -205,127 +158,105 @@ pub struct MeshKernel {
 impl std::fmt::Debug for MeshKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MeshKernel")
-            .field("tiles", &(self.tile_off.len().saturating_sub(1)))
-            .field("vcs", &self.vcs.len())
+            .field("tiles", &(self.tile_words.len().saturating_sub(1)))
+            .field("vcs", &self.by_ptr.len())
             .finish()
     }
 }
 
 impl MeshKernel {
-    /// Lowers `nodes` into the kernel's flat acceleration state, or returns
-    /// `None` if the configuration is ineligible (adaptive routing,
-    /// bandwidth-adaptive links, more than 64 VCs on one tile, or a local
-    /// egress channel pointing outside `nodes` — e.g. a direct router-level
-    /// wiring the network builder did not produce).
+    /// Builds the sweep's cross-tile state for `nodes`.
     ///
     /// Compiling is cheap — O(total VCs) — and may be repeated freely, e.g.
-    /// after a snapshot restore; all masks are derived from the routers'
-    /// current architectural state and every VC starts dirty.
-    pub fn compile(nodes: &[NetworkNode], timing: bool) -> Option<Self> {
+    /// after a snapshot restore: every VC starts dirty, so the first positive
+    /// edge re-absorbs everything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a local egress channel of some tile feeds a buffer outside
+    /// `nodes`: such pushes would escape the dirty tracking. The network
+    /// builder and the sharded runtimes never produce one (cut links become
+    /// boundary channels).
+    pub fn compile(nodes: &[NetworkNode], timing: bool) -> Self {
         let tiles = nodes.len();
-        let mut k = MeshKernel {
-            vcs: Vec::new(),
-            vc_port: Vec::new(),
-            vc_sub: Vec::new(),
-            tile_off: Vec::with_capacity(tiles + 1),
-            by_ptr: HashMap::new(),
-            inj_mask: vec![0; tiles],
-            valid: vec![0; tiles],
-            head_mask: vec![0; tiles],
-            routed: vec![0; tiles],
-            active: vec![0; tiles],
-            dropping: vec![0; tiles],
-            dirty: vec![0; tiles],
-            busy: Vec::with_capacity(tiles),
-            sa_cand: Vec::new(),
-            ingress_granted: Vec::new(),
-            egress_granted: Vec::new(),
-            staged_count: Vec::new(),
-            staged_stamp: Vec::new(),
-            staged_gen: 0,
-            egress_target: Vec::new(),
-            egress_stride: 0,
-            stride: 1,
-            route_scratch: Vec::new(),
-            downstream_scratch: Vec::new(),
-            vca_scratch: Vec::new(),
-            timing,
-            times: StageTimes::default(),
-        };
-
-        let mut max_ingress = 0usize;
-        let mut max_egress = 0usize;
-        for (t, node) in nodes.iter().enumerate() {
+        let mut tile_words = Vec::with_capacity(tiles + 1);
+        let mut by_ptr = HashMap::new();
+        let mut inj_mask = Vec::new();
+        let mut dirty = Vec::new();
+        let (mut max_ingress, mut max_egress, mut stride) = (0usize, 0usize, 1usize);
+        for node in nodes {
             let r = &node.router;
-            if r.routing.is_adaptive() {
-                return None; // extra RNG draws keyed to cross-tile free space
-            }
-            let total_vcs: usize = r.ingress.iter().map(|p| p.vcs.len()).sum();
-            if total_vcs > 64 {
-                return None; // one mask word per tile
-            }
-            max_ingress = max_ingress.max(r.ingress.len());
+            let base = dirty.len();
+            tile_words.push(base as u32);
+            dirty.resize(base + r.masks.len(), 0u64);
+            inj_mask.resize(base + r.masks.len(), 0u64);
+            max_ingress = max_ingress.max(r.upstream.len());
             max_egress = max_egress.max(r.egress.len());
             for e in &r.egress {
-                if e.bidir.is_some() {
-                    return None; // negative-edge demand publication
-                }
-                k.stride = k.stride.max(e.buffers.len());
+                stride = stride.max(e.buffers.len());
             }
-
-            k.tile_off.push(k.vcs.len() as u32);
-            let mut bit = 0usize;
-            for (p, port) in r.ingress.iter().enumerate() {
-                for (v, vc) in port.vcs.iter().enumerate() {
-                    k.by_ptr.insert(Arc::as_ptr(vc) as usize, pack_loc(t, bit));
-                    k.vc_port.push(p as u32);
-                    k.vc_sub.push(v as u32);
-                    k.vcs.push(Arc::clone(vc));
-                    if p == r.injection_port {
-                        k.inj_mask[t] |= 1 << bit;
-                    }
-                    k.valid[t] |= 1 << bit;
-                    if r.head_cache[bit].is_some() {
-                        k.head_mask[t] |= 1 << bit;
-                    }
-                    match port.state[v] {
-                        VcState::Idle => {}
-                        VcState::Routed { .. } => k.routed[t] |= 1 << bit,
-                        VcState::Active { .. } => k.active[t] |= 1 << bit,
-                        VcState::Dropping => k.dropping[t] |= 1 << bit,
-                    }
-                    bit += 1;
+            for (vc, buf) in r.vcs.iter().enumerate() {
+                let (word, bit) = (base + vc / 64, vc % 64);
+                by_ptr.insert(Arc::as_ptr(buf) as usize, pack_loc(word, bit));
+                dirty[word] |= 1 << bit;
+                if r.vc_port[vc] as usize == r.injection_port {
+                    inj_mask[word] |= 1 << bit;
                 }
             }
-            // Everything starts dirty: the first positive edge re-absorbs
-            // every VC, exactly like the interpreter does every cycle.
-            k.dirty[t] = k.valid[t];
         }
-        k.tile_off.push(k.vcs.len() as u32);
+        tile_words.push(dirty.len() as u32);
 
-        // Every local egress channel must land in a compiled tile's ingress,
-        // otherwise its pushes would escape the dirty tracking. The resolved
-        // targets are frozen into `egress_target` so the negative edge can
-        // mark downstream VCs dirty with an array index instead of a hash
-        // lookup per staged move.
-        k.egress_stride = max_egress * k.stride;
-        k.egress_target = vec![u64::MAX; tiles * k.egress_stride];
+        let egress_stride = max_egress * stride;
+        let mut egress_target = vec![u64::MAX; tiles * egress_stride];
         for (t, node) in nodes.iter().enumerate() {
             for (p, e) in node.router.egress.iter().enumerate() {
                 for (v, ch) in e.buffers.iter().enumerate() {
                     if let EgressChannel::Local(buf) = ch {
-                        let &packed = k.by_ptr.get(&(Arc::as_ptr(buf) as usize))?;
-                        k.egress_target[t * k.egress_stride + p * k.stride + v] = packed;
+                        let packed =
+                            *by_ptr.get(&(Arc::as_ptr(buf) as usize)).unwrap_or_else(|| {
+                                panic!(
+                                    "{}: local egress channel feeds a tile outside the sweep",
+                                    node.node
+                                )
+                            });
+                        egress_target[t * egress_stride + p * stride + v] = packed;
                     }
                 }
             }
         }
 
-        k.ingress_granted = vec![0; max_ingress];
-        k.egress_granted = vec![0; max_egress];
-        k.staged_count = vec![0; max_egress * k.stride];
-        k.staged_stamp = vec![0; max_egress * k.stride];
-        Some(k)
+        Self {
+            tile_words,
+            by_ptr,
+            inj_mask,
+            dirty,
+            busy: Vec::with_capacity(tiles),
+            sa_cand: Vec::new(),
+            ingress_granted: vec![0; max_ingress],
+            egress_granted: vec![0; max_egress],
+            staged_count: vec![0; egress_stride],
+            staged_stamp: vec![0; egress_stride],
+            staged_gen: 0,
+            stride,
+            egress_target,
+            egress_stride,
+            downstream_scratch: vec![
+                DownstreamVc {
+                    vc: VcId::new(0),
+                    free_for_allocation: false,
+                    occupancy: 0,
+                    capacity: 0,
+                    resident_flow: None,
+                };
+                egress_stride
+            ],
+            downstream_stamp: vec![0; max_egress],
+            downstream_gen: 0,
+            route_scratch: Vec::new(),
+            vca_scratch: Vec::new(),
+            timing,
+            times: StageTimes::default(),
+        }
     }
 
     /// Accumulated per-stage timings (all zero unless compiled with timing).
@@ -335,24 +266,30 @@ impl MeshKernel {
 
     /// Marks the target VC of an out-of-band push (e.g. a boundary delivery
     /// from another shard) dirty so the next positive edge re-absorbs it.
-    /// Buffers the kernel does not manage are ignored.
+    /// Buffers outside the sweep are ignored.
     pub fn note_external_push(&mut self, buf: &Arc<VcBuffer>) {
         if let Some(&packed) = self.by_ptr.get(&(Arc::as_ptr(buf) as usize)) {
-            self.dirty[(packed >> 6) as usize] |= 1 << (packed & 63);
+            self.mark_dirty(packed);
         }
+    }
+
+    #[inline]
+    fn mark_dirty(&mut self, packed: u64) {
+        self.dirty[(packed >> 6) as usize] |= 1 << (packed & 63);
     }
 
     /// Positive clock edge for every tile: absorb (dirty VCs only), then the
     /// SA, VA and RC sweeps over the busy tiles, then the agent ticks.
-    /// Bit-identical to calling [`NetworkNode::posedge`] on every tile in
-    /// order.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `nodes` is not the slice this kernel was
-    /// compiled from.
+    /// Panics (in debug builds) if `nodes` is not the tile set this sweep was
+    /// compiled from, or if a pipeline invariant is broken.
     pub fn posedge(&mut self, nodes: &mut [NetworkNode], now: Cycle) {
-        debug_assert_eq!(nodes.len() + 1, self.tile_off.len(), "tile set changed");
+        debug_assert_eq!(nodes.len() + 1, self.tile_words.len(), "tile set changed");
+        if cfg!(debug_assertions) {
+            self.assert_nothing_undirtied_to_absorb(nodes);
+        }
         let mut lap = self.timing.then(Instant::now);
 
         // --- absorb + quiet-tile triage -------------------------------
@@ -364,101 +301,106 @@ impl MeshKernel {
             r.staged_drops.clear();
             r.stats.simulated_cycles += 1;
             r.stats.last_cycle = now;
+            let lo = self.tile_words[t] as usize;
 
             if r.buffered_flits() == 0 {
                 // Quiet tile: every stage would be a no-op; just invalidate
-                // stale cached heads (the interpreter nulls them during its
-                // absorb scan).
-                let mut m = self.head_mask[t];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    r.head_cache[b] = None;
+                // stale cached heads.
+                for w in 0..r.masks.len() {
+                    let mut m = r.masks[w].head;
+                    while m != 0 {
+                        let vc = w * 64 + m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        r.set_head(vc, None);
+                    }
+                    self.dirty[lo + w] = 0;
                 }
-                self.head_mask[t] = 0;
-                self.dirty[t] = 0;
                 continue;
             }
             r.stats.busy_cycles += 1;
 
-            let lo = self.tile_off[t] as usize;
-            let pushed = self.dirty[t];
-            let mut hm = self.head_mask[t];
-            // Pushed VCs that already have a cached head only need the absorb
-            // cursor advanced — a push can never change the head flit of a
-            // non-empty buffer, so the (88-byte) head re-copy is skipped.
-            let mut cursor_only = pushed & hm;
-            let mut m = pushed & !hm;
             let mut absorbed = 0u64;
-            while cursor_only != 0 {
-                let b = cursor_only.trailing_zeros() as usize;
-                cursor_only &= cursor_only - 1;
-                absorbed += self.vcs[lo + b].absorb_tail() as u64;
-            }
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let vc = &self.vcs[lo + b];
-                let (n, head) = vc.absorb_and_peek();
-                absorbed += n as u64;
-                if head.is_some() {
-                    hm |= 1 << b;
+            for w in 0..r.masks.len() {
+                let pushed = self.dirty[lo + w];
+                self.dirty[lo + w] = 0;
+                // Pushed VCs that already have a cached head only need the
+                // absorb cursor advanced — a push never changes the head
+                // flit of a non-empty buffer, so the head re-copy is skipped.
+                let mut cursor_only = pushed & r.masks[w].head;
+                let mut m = pushed & !r.masks[w].head;
+                while cursor_only != 0 {
+                    let vc = w * 64 + cursor_only.trailing_zeros() as usize;
+                    cursor_only &= cursor_only - 1;
+                    absorbed += r.vcs[vc].absorb_tail() as u64;
                 }
-                r.head_cache[b] = head;
+                while m != 0 {
+                    let vc = w * 64 + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    let (n, head) = r.vcs[vc].absorb_and_peek();
+                    absorbed += n as u64;
+                    r.set_head(vc, head);
+                }
             }
-            self.head_mask[t] = hm;
-            self.dirty[t] = 0;
             r.stats.activity.buffer_writes += absorbed;
             self.busy.push(t as u32);
         }
         lap = self.lap(lap, |s| &mut s.times.absorb);
+        if cfg!(debug_assertions) {
+            assert_heads_absorbed(nodes);
+        }
 
-        // Stage-major sweeps. Safe to reorder across tiles: RNGs are
-        // per-tile, the within-tile SA → VA → RC order is preserved, and all
-        // cross-tile reads (occupancy / free space) are stable for the whole
-        // positive edge (buffers change only at the negative edge).
+        // Stage-major sweeps: safe to reorder across tiles (see the module
+        // docs); the within-tile SA → VA → RC order is preserved.
         let busy = std::mem::take(&mut self.busy);
         for &t in &busy {
-            self.sa_tile(&mut nodes[t as usize], t as usize, now);
+            self.sa_tile(&mut nodes[t as usize], now);
         }
         lap = self.lap(lap, |s| &mut s.times.sa);
         for &t in &busy {
-            self.va_tile(&mut nodes[t as usize], t as usize, now);
+            self.va_tile(&mut nodes[t as usize], now);
         }
         lap = self.lap(lap, |s| &mut s.times.va);
         for &t in &busy {
-            self.rc_tile(&mut nodes[t as usize], t as usize, now);
+            rc_tile(&mut nodes[t as usize], &mut self.route_scratch, now);
         }
         self.busy = busy;
         self.lap(lap, |s| &mut s.times.rc);
 
         // Agents run on *every* tile (they inject into quiet ones), after
-        // their own tile's router stages — as in the interpreter.
+        // their own tile's router stages.
         for node in nodes.iter_mut() {
             node.tick_agents(now);
         }
+        if cfg!(debug_assertions) {
+            assert_masks_exact(nodes);
+        }
     }
 
-    /// Negative clock edge for every tile: apply the staged moves and drops,
-    /// then run the bridge transfers. Bit-identical to calling
-    /// [`NetworkNode::negedge`] on every tile in order — the bridge sweep may
-    /// run after *all* router sweeps because a tile's bridge only touches its
-    /// own delivery queue and injection buffers, whose state depends only on
-    /// that tile's router half (which the interpreter also runs first).
+    /// Negative clock edge for every tile: apply the staged moves and drops
+    /// and publish link demand, then run the bridge transfers. The bridge
+    /// sweep may run after *all* router halves because a tile's bridge only
+    /// touches its own delivery queue and injection buffers, which no other
+    /// tile's router half reads.
     pub fn negedge(&mut self, nodes: &mut [NetworkNode], now: Cycle) {
         let mut lap = self.timing.then(Instant::now);
         for (t, node) in nodes.iter_mut().enumerate() {
-            self.negedge_router(node, t, now);
+            self.negedge_router(&mut node.router, t, now);
         }
         lap = self.lap(lap, |s| &mut s.times.negedge);
         for (t, node) in nodes.iter_mut().enumerate() {
             let before = node.router.stats.injected_flits;
             node.negedge_bridge(now);
             if node.router.stats.injected_flits != before {
-                self.dirty[t] |= self.inj_mask[t];
+                let words = self.tile_words[t] as usize..self.tile_words[t + 1] as usize;
+                for w in words {
+                    self.dirty[w] |= self.inj_mask[w];
+                }
             }
         }
         self.lap(lap, |s| &mut s.times.bridge);
+        if cfg!(debug_assertions) {
+            assert_masks_exact(nodes);
+        }
     }
 
     /// Records a stage lap when timing is enabled and starts the next one.
@@ -473,41 +415,40 @@ impl MeshKernel {
         Some(Instant::now())
     }
 
-    /// Switch arbitration for one tile; replicates
-    /// `Router::switch_arbitration` (candidate gather order, RNG shuffle,
-    /// grant bookkeeping) with the candidates found by bitmask instead of a
-    /// full VC scan. Staged moves land in the router's own `staged` /
-    /// `staged_drops`, so snapshots and a later interpreter hand-off see
-    /// exactly the interpreter's state.
-    fn sa_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
+    /// Switch arbitration for one tile: gathers the Active and Dropping VCs
+    /// with a visible head, shuffles the candidates (per-tile RNG, for fair
+    /// tie-breaking) and grants them under the ingress, egress and
+    /// downstream-credit limits. Grants land in the router's `staged` /
+    /// `staged_drops`.
+    fn sa_tile(&mut self, node: &mut NetworkNode, now: Cycle) {
         let r = &mut node.router;
-        let lo = self.tile_off[t] as usize;
         let mut cand = std::mem::take(&mut self.sa_cand);
         cand.clear();
-        let mut m = (self.active[t] | self.dropping[t]) & self.head_mask[t];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            match &r.head_cache[b] {
-                Some(f) if f.visible_at <= now => {}
-                _ => continue,
-            }
-            let p = self.vc_port[lo + b] as usize;
-            let v = self.vc_sub[lo + b] as usize;
-            match r.ingress[p].state[v] {
-                VcState::Active {
-                    egress,
-                    out_vc,
-                    next_flow,
-                } => cand.push(SaCandidate {
-                    ingress: p,
-                    vc: v,
-                    egress,
-                    out_vc,
-                    next_flow,
-                }),
-                VcState::Dropping => r.staged_drops.push((p, v)),
-                _ => unreachable!("mask out of sync with VC state"),
+        for w in 0..r.masks.len() {
+            let mw = r.masks[w];
+            let mut m = (mw.active | mw.dropping) & mw.head;
+            while m != 0 {
+                let vc = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                match r.head(vc) {
+                    Some(f) if f.visible_at <= now => {}
+                    _ => continue,
+                }
+                match r.vc_state(vc) {
+                    VcState::Active {
+                        egress,
+                        out_vc,
+                        next_flow,
+                    } => cand.push(SaCandidate {
+                        ingress: r.vc_port[vc] as usize,
+                        vc,
+                        egress,
+                        out_vc,
+                        next_flow,
+                    }),
+                    VcState::Dropping => r.staged_drops.push(vc),
+                    _ => unreachable!("mask out of sync with VC state"),
+                }
             }
         }
         if cand.is_empty() {
@@ -516,51 +457,41 @@ impl MeshKernel {
         }
         r.stats.activity.arbitrations += cand.len() as u64;
 
-        // Randomize consideration order to break ties fairly (identical
-        // Fisher–Yates draw sequence to the interpreter).
+        // Randomize consideration order to break ties fairly.
         for i in (1..cand.len()).rev() {
             let j = node.rng.gen_range(0..=i);
             cand.swap(i, j);
         }
 
         let ingress_bw = r.cfg.link_bandwidth.max(1);
-        self.ingress_granted[..r.ingress.len()]
-            .iter_mut()
-            .for_each(|g| *g = 0);
-        self.egress_granted[..r.egress.len()]
-            .iter_mut()
-            .for_each(|g| *g = 0);
+        self.ingress_granted[..r.upstream.len()].fill(0);
+        self.egress_granted[..r.egress.len()].fill(0);
+        // New generation: every staged-per-buffer entry is logically zero.
         self.staged_gen += 1;
 
         for c in &cand {
             if self.ingress_granted[c.ingress] >= ingress_bw {
                 continue;
             }
-            let egress_bw = r.egress_bandwidth(c.egress);
-            if self.egress_granted[c.egress] >= egress_bw {
+            if self.egress_granted[c.egress] >= r.egress_bandwidth(c.egress) {
                 continue;
             }
             let key = c.egress * self.stride + c.out_vc;
-            if c.egress != r.ejection_port {
-                let already = if self.staged_stamp[key] == self.staged_gen {
-                    self.staged_count[key] as usize
-                } else {
-                    0
-                };
-                if r.egress[c.egress].buffers[c.out_vc].free_space() <= already {
-                    continue; // no downstream credit
-                }
+            let already = if self.staged_stamp[key] == self.staged_gen {
+                self.staged_count[key]
+            } else {
+                0
+            };
+            if c.egress != r.ejection_port
+                && r.egress[c.egress].buffers[c.out_vc].free_space() <= already as usize
+            {
+                continue; // no downstream credit
             }
             self.ingress_granted[c.ingress] += 1;
             self.egress_granted[c.egress] += 1;
-            if self.staged_stamp[key] == self.staged_gen {
-                self.staged_count[key] += 1;
-            } else {
-                self.staged_stamp[key] = self.staged_gen;
-                self.staged_count[key] = 1;
-            }
+            self.staged_stamp[key] = self.staged_gen;
+            self.staged_count[key] = already + 1;
             r.staged.push(StagedMove {
-                ingress: c.ingress,
                 vc: c.vc,
                 egress: c.egress,
                 out_vc: c.out_vc,
@@ -570,183 +501,105 @@ impl MeshKernel {
         self.sa_cand = cand;
     }
 
-    /// VC allocation for one tile; replicates `Router::vc_allocation` with
-    /// the Routed VCs found by bitmask.
-    fn va_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
+    /// VC allocation for one tile: every Routed VC with a visible head asks
+    /// its VCA policy for a downstream VC on its egress port.
+    fn va_tile(&mut self, node: &mut NetworkNode, now: Cycle) {
         let r = &mut node.router;
-        let lo = self.tile_off[t] as usize;
-        let mut downstream = std::mem::take(&mut self.downstream_scratch);
         let mut cand = std::mem::take(&mut self.vca_scratch);
         // Downstream snapshots are stable for the whole positive edge
-        // (buffers move only at the negative edge) except for the `out_state`
-        // assignments this very loop makes — so build each egress port's
-        // snapshot at most once per tile per cycle and invalidate it only
-        // when a VC on that port is granted. Under congestion many Routed
-        // heads retry the same port every cycle; they all share one build.
-        let mut built: u64 = 0;
-        let mut m = self.routed[t];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let (flow, packet) = match &r.head_cache[b] {
-                Some(f) if f.visible_at <= now => (f.flow, f.packet),
-                _ => continue,
-            };
-            let p = self.vc_port[lo + b] as usize;
-            let v = self.vc_sub[lo + b] as usize;
-            let VcState::Routed { egress, next_flow } = r.ingress[p].state[v] else {
-                unreachable!("mask out of sync with VC state");
-            };
-            r.stats.activity.arbitrations += 1;
-            if egress == r.ejection_port {
-                r.ingress[p].state[v] = VcState::Active {
-                    egress,
-                    out_vc: 0,
+        // (buffers move only at the negative edge) except for the
+        // `out_state` assignments this very loop makes — so build each
+        // egress port's snapshot at most once per tile per cycle and
+        // invalidate it only when a VC on that port is granted.
+        self.downstream_gen += 1;
+        for w in 0..r.masks.len() {
+            let mut m = r.masks[w].routed & r.masks[w].head;
+            while m != 0 {
+                let vc = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                let (flow, packet) = match r.head(vc) {
+                    Some(f) if f.visible_at <= now => (f.flow, f.packet),
+                    _ => continue,
+                };
+                let VcState::Routed { egress, next_flow } = r.vc_state(vc) else {
+                    unreachable!("mask out of sync with VC state");
+                };
+                r.stats.activity.arbitrations += 1;
+                if egress == r.ejection_port {
+                    r.set_state(
+                        vc,
+                        VcState::Active {
+                            egress,
+                            out_vc: 0,
+                            next_flow,
+                        },
+                    );
+                    continue;
+                }
+                let e = &r.egress[egress];
+                let lo = egress * self.stride;
+                let downstream = &mut self.downstream_scratch[lo..lo + e.buffers.len()];
+                if self.downstream_stamp[egress] != self.downstream_gen {
+                    self.downstream_stamp[egress] = self.downstream_gen;
+                    for (i, (slot, buf)) in downstream.iter_mut().zip(&e.buffers).enumerate() {
+                        let occupancy = buf.occupancy();
+                        let out = &e.out_state[i];
+                        *slot = DownstreamVc {
+                            vc: VcId::new(i as u16),
+                            free_for_allocation: out.owner.is_none(),
+                            occupancy,
+                            capacity: buf.capacity(),
+                            resident_flow: if occupancy > 0 || out.owner.is_some() {
+                                out.resident_flow
+                            } else {
+                                None
+                            },
+                        };
+                    }
+                }
+                let req = VcaRequest {
+                    prev: r.upstream[r.vc_port[vc] as usize],
+                    flow,
+                    next: e.downstream,
                     next_flow,
                 };
-                self.routed[t] &= !(1 << b);
-                self.active[t] |= 1 << b;
-                continue;
-            }
-            let lo_ds = egress * self.stride;
-            if built & (1 << egress) == 0 {
-                built |= 1 << egress;
-                let e = &r.egress[egress];
-                downstream.resize(
-                    downstream.len().max(lo_ds + e.buffers.len()),
-                    DownstreamVc {
-                        vc: VcId::new(0),
-                        free_for_allocation: false,
-                        occupancy: 0,
-                        capacity: 0,
-                        resident_flow: None,
+                r.vca.candidates_into(&req, downstream, &mut cand);
+                if cand.is_empty() {
+                    continue; // wait in the VA stage
+                }
+                let (vc_id, _) = pick_weighted(&mut node.rng, &cand, |c| c.1);
+                let out_vc = vc_id.index();
+                let out = &mut r.egress[egress].out_state[out_vc];
+                out.owner = Some(packet);
+                out.resident_flow = Some(next_flow);
+                self.downstream_stamp[egress] = 0;
+                r.set_state(
+                    vc,
+                    VcState::Active {
+                        egress,
+                        out_vc,
+                        next_flow,
                     },
                 );
-                for (i, buf) in e.buffers.iter().enumerate() {
-                    let occupancy = buf.occupancy();
-                    downstream[lo_ds + i] = DownstreamVc {
-                        vc: VcId::new(i as u16),
-                        free_for_allocation: e.out_state[i].owner.is_none(),
-                        occupancy,
-                        capacity: buf.capacity(),
-                        resident_flow: if occupancy > 0 || e.out_state[i].owner.is_some() {
-                            e.out_state[i].resident_flow
-                        } else {
-                            None
-                        },
-                    };
-                }
             }
-            let req = VcaRequest {
-                prev: r.ingress[p].upstream,
-                flow,
-                next: r.egress[egress].downstream,
-                next_flow,
-            };
-            let port_vcs = r.egress[egress].buffers.len();
-            r.vca
-                .candidates_into(&req, &downstream[lo_ds..lo_ds + port_vcs], &mut cand);
-            if cand.is_empty() {
-                continue; // wait in the VA stage
-            }
-            let (vc_id, _) = pick_weighted(&mut node.rng, &cand, |c| c.1);
-            let out_vc = vc_id.index();
-            r.egress[egress].out_state[out_vc].owner = Some(packet);
-            r.egress[egress].out_state[out_vc].resident_flow = Some(next_flow);
-            built &= !(1 << egress);
-            r.ingress[p].state[v] = VcState::Active {
-                egress,
-                out_vc,
-                next_flow,
-            };
-            self.routed[t] &= !(1 << b);
-            self.active[t] |= 1 << b;
         }
-        self.downstream_scratch = downstream;
         self.vca_scratch = cand;
     }
 
-    /// Route computation for one tile; replicates `Router::route_computation`
-    /// for the non-adaptive policies the kernel specializes (the adaptive
-    /// branch — and its extra RNG draws — is excluded at compile time).
-    fn rc_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
-        let NetworkNode {
-            router: r,
-            rng,
-            tracer,
-            ..
-        } = node;
-        let lo = self.tile_off[t] as usize;
-        let mut cand = std::mem::take(&mut self.route_scratch);
-        let idle = self.valid[t] & !(self.routed[t] | self.active[t] | self.dropping[t]);
-        let mut m = idle & self.head_mask[t];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let (is_head, flow, dst, packet) = match &r.head_cache[b] {
-                Some(f) if f.visible_at <= now => (f.is_head(), f.flow, f.dst, f.packet),
-                _ => continue,
-            };
-            let p = self.vc_port[lo + b] as usize;
-            let v = self.vc_sub[lo + b] as usize;
-            if !is_head {
-                // A body flit at the head of an idle VC can only happen if
-                // the packet was dropped upstream; discard it.
-                r.ingress[p].state[v] = VcState::Dropping;
-                self.dropping[t] |= 1 << b;
-                continue;
-            }
-            let prev = r.ingress[p].upstream;
-            r.routing
-                .candidates_into(r.node, prev, flow, dst, &mut cand);
-            if cand.is_empty() {
-                r.stats.routing_failures += 1;
-                r.ingress[p].state[v] = VcState::Dropping;
-                self.dropping[t] |= 1 << b;
-                continue;
-            }
-            let choice = pick_weighted(rng, &cand, |c| c.weight);
-            let egress = if choice.next_node == r.node {
-                r.ejection_port
-            } else {
-                r.egress_of(choice.next_node)
-            };
-            r.ingress[p].state[v] = VcState::Routed {
-                egress,
-                next_flow: choice.next_flow,
-            };
-            self.routed[t] |= 1 << b;
-            if let Some(tr) = tracer.as_deref_mut() {
-                tr.record(TraceEvent {
-                    cycle: now,
-                    node: r.node.raw(),
-                    kind: TraceKind::FlitRoute,
-                    a: packet.raw(),
-                    b: egress as u64,
-                });
-            }
-        }
-        self.route_scratch = cand;
-    }
-
-    /// The router half of one tile's negative edge; replicates
-    /// `Router::negedge` (bandwidth-adaptive demand publication excluded at
-    /// compile time) with dirty/state-mask bookkeeping on every pop and push.
-    fn negedge_router(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
-        let r = &mut node.router;
+    /// The router half of one tile's negative edge: pop the granted flits
+    /// and push them downstream (or into the local delivery queue), release
+    /// VC allocations behind tail flits, discard the staged drops, and
+    /// publish demand on bandwidth-adaptive links for the next cycle.
+    fn negedge_router(&mut self, r: &mut Router, t: usize, now: Cycle) {
         for i in 0..r.staged.len() {
             let m = r.staged[i];
-            let Some(mut flit) = r.ingress[m.ingress].vcs[m.vc].pop_if(now, |_| true) else {
+            let Some(mut flit) = r.vcs[m.vc].pop_if(now, |_| true) else {
                 continue;
             };
-            let bit = r.ingress_offsets[m.ingress] + m.vc;
             // Refresh the cached head in place: the successor flit (if any)
             // is already absorbed, so no positive-edge re-peek is needed.
-            let head = r.ingress[m.ingress].vcs[m.vc].head_snapshot();
-            if head.is_none() {
-                self.head_mask[t] &= !(1 << bit);
-            }
-            r.head_cache[bit] = head;
+            let head = r.vcs[m.vc].head_snapshot();
+            r.set_head(m.vc, head);
             r.stats.activity.buffer_reads += 1;
             r.stats.activity.crossbar_transits += 1;
 
@@ -766,14 +619,11 @@ impl MeshKernel {
             } else {
                 flit.stats.hops += 1;
                 r.stats.activity.link_flits += 1;
-                let ch = &r.egress[m.egress].buffers[m.out_vc];
-                if ch.push(flit) {
-                    // Compile froze every local target into `egress_target`;
-                    // non-local channels carry the MAX sentinel.
+                if r.egress[m.egress].buffers[m.out_vc].push(flit) {
                     let packed = self.egress_target
                         [t * self.egress_stride + m.egress * self.stride + m.out_vc];
                     if packed != u64::MAX {
-                        self.dirty[(packed >> 6) as usize] |= 1 << (packed & 63);
+                        self.mark_dirty(packed);
                     }
                 } else {
                     // Credit checking should make this impossible; record it
@@ -786,29 +636,360 @@ impl MeshKernel {
                 }
             }
             if is_tail {
-                r.ingress[m.ingress].state[m.vc] = VcState::Idle;
-                self.active[t] &= !(1 << bit);
+                r.set_state(m.vc, VcState::Idle);
             }
         }
         r.staged.clear();
 
         // Discard flits of packets that could not be routed.
         for i in 0..r.staged_drops.len() {
-            let (p, v) = r.staged_drops[i];
-            if let Some(flit) = r.ingress[p].vcs[v].pop_if(now, |_| true) {
-                let bit = r.ingress_offsets[p] + v;
-                let head = r.ingress[p].vcs[v].head_snapshot();
-                if head.is_none() {
-                    self.head_mask[t] &= !(1 << bit);
-                }
-                r.head_cache[bit] = head;
+            let vc = r.staged_drops[i];
+            if let Some(flit) = r.vcs[vc].pop_if(now, |_| true) {
+                let head = r.vcs[vc].head_snapshot();
+                r.set_head(vc, head);
                 r.stats.activity.buffer_reads += 1;
                 if flit.is_tail() {
-                    r.ingress[p].state[v] = VcState::Idle;
-                    self.dropping[t] &= !(1 << bit);
+                    r.set_state(vc, VcState::Idle);
                 }
             }
         }
         r.staged_drops.clear();
+
+        // Publish demand on bandwidth-adaptive links for the next cycle: the
+        // Active VCs bound for the link that still hold a flit.
+        for (e, port) in r.egress.iter().enumerate() {
+            let Some((link, dir)) = &port.bidir else {
+                continue;
+            };
+            let mut demand = 0u32;
+            for (w, mw) in r.masks.iter().enumerate() {
+                let mut m = mw.active;
+                while m != 0 {
+                    let vc = w * 64 + m.trailing_zeros() as usize;
+                    m &= m - 1;
+                    if matches!(r.vc_state(vc), VcState::Active { egress, .. } if egress == e)
+                        && r.vcs[vc].occupancy() > 0
+                    {
+                        demand += 1;
+                    }
+                }
+            }
+            link.publish_demand(*dir, demand);
+        }
+    }
+
+    /// Debug check: a VC whose dirty bit is clear has nothing beyond its
+    /// absorb boundary (otherwise a push escaped the dirty tracking).
+    fn assert_nothing_undirtied_to_absorb(&self, nodes: &[NetworkNode]) {
+        for (t, node) in nodes.iter().enumerate() {
+            let lo = self.tile_words[t] as usize;
+            for (vc, buf) in node.router.vcs.iter().enumerate() {
+                let dirty = self.dirty[lo + vc / 64] & (1 << (vc % 64)) != 0;
+                assert!(
+                    dirty || buf.unabsorbed() == 0,
+                    "{}: VC {vc} received a push the sweep was not told about",
+                    node.node
+                );
+            }
+        }
+    }
+}
+
+/// Route computation for one tile: every idle VC with a visible head flit
+/// is bound to an egress port (a body flit at the head of an idle VC, or a
+/// destination without a route, starts a drop instead).
+fn rc_tile(node: &mut NetworkNode, cand: &mut Vec<NextHop>, now: Cycle) {
+    let NetworkNode {
+        router: r,
+        rng,
+        tracer,
+        ..
+    } = node;
+    for w in 0..r.masks.len() {
+        let mw = r.masks[w];
+        let mut m = mw.head & !(mw.routed | mw.active | mw.dropping);
+        while m != 0 {
+            let vc = w * 64 + m.trailing_zeros() as usize;
+            m &= m - 1;
+            let (is_head, flow, dst, packet) = match r.head(vc) {
+                Some(f) if f.visible_at <= now => (f.is_head(), f.flow, f.dst, f.packet),
+                _ => continue,
+            };
+            if !is_head {
+                // A body flit at the head of an idle VC can only happen if
+                // the packet was dropped upstream; discard it.
+                r.set_state(vc, VcState::Dropping);
+                continue;
+            }
+            let prev = r.upstream[r.vc_port[vc] as usize];
+            r.routing.candidates_into(r.node, prev, flow, dst, cand);
+            if cand.is_empty() {
+                r.stats.routing_failures += 1;
+                r.set_state(vc, VcState::Dropping);
+                continue;
+            }
+            let choice = if r.routing.is_adaptive() && cand.len() > 1 {
+                most_free_space(r, rng, cand)
+            } else {
+                pick_weighted(rng, cand, |c| c.weight)
+            };
+            let egress = if choice.next_node == r.node {
+                r.ejection_port
+            } else {
+                r.egress_of(choice.next_node)
+            };
+            r.set_state(
+                vc,
+                VcState::Routed {
+                    egress,
+                    next_flow: choice.next_flow,
+                },
+            );
+            if let Some(tr) = tracer.as_deref_mut() {
+                tr.record(TraceEvent {
+                    cycle: now,
+                    node: r.node.raw(),
+                    kind: TraceKind::FlitRoute,
+                    a: packet.raw(),
+                    b: egress as u64,
+                });
+            }
+        }
+    }
+}
+
+/// Adaptive routing's choice: the candidate with the most free space in its
+/// downstream buffers (ejection counts as unbounded), ties broken by one
+/// random draw per candidate.
+fn most_free_space(r: &Router, rng: &mut impl Rng, cand: &[NextHop]) -> NextHop {
+    let mut best_idx = 0usize;
+    let mut best_key = (u64::MIN, 0u64);
+    for (i, c) in cand.iter().enumerate() {
+        let free: u64 = if c.next_node == r.node {
+            u64::MAX
+        } else {
+            r.egress[r.egress_of(c.next_node)]
+                .buffers
+                .iter()
+                .map(|b| b.free_space() as u64)
+                .sum()
+        };
+        let tiebreak = rng.gen::<u64>();
+        if (free, tiebreak) > best_key || i == 0 {
+            best_key = (free, tiebreak);
+            best_idx = i;
+        }
+    }
+    cand[best_idx]
+}
+
+/// Debug check: every router's masks equal the masks derived from its VC
+/// states and head cache.
+fn assert_masks_exact(nodes: &[NetworkNode]) {
+    for node in nodes {
+        assert_eq!(
+            node.router.masks,
+            node.router.derived_masks(),
+            "{}: predicate masks out of sync with VC state",
+            node.node
+        );
+    }
+}
+
+/// Debug check after absorb: every cached head equals its buffer's absorbed
+/// head flit.
+fn assert_heads_absorbed(nodes: &[NetworkNode]) {
+    for node in nodes {
+        let r = &node.router;
+        for (vc, buf) in r.vcs.iter().enumerate() {
+            assert_eq!(
+                r.head(vc),
+                buf.head_snapshot().as_ref(),
+                "{}: stale cached head on VC {vc}",
+                node.node
+            );
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agent::{NodeAgent, NodeIo, SinkAgent};
+    use crate::config::NetworkConfig;
+    use crate::flit::Packet;
+    use crate::geometry::Geometry;
+    use crate::ids::NodeId;
+    use crate::network::Network;
+    use crate::routing::FlowSpec;
+    use rand_chacha::ChaCha12Rng;
+
+    /// Sends `len`-flit packets from node 0 to node 1, keeping at most
+    /// `backlog` packets queued at the bridge, until `remaining` runs out.
+    struct Sender {
+        len: u32,
+        remaining: u64,
+        backlog: usize,
+    }
+
+    impl NodeAgent for Sender {
+        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+            while self.remaining > 0 && io.injection_backlog() < self.backlog {
+                let id = io.alloc_packet_id();
+                let (src, dst) = (NodeId::new(0), NodeId::new(1));
+                let now = io.cycle();
+                io.send(Packet::new(
+                    id,
+                    FlowId::for_pair(src, dst, 2),
+                    src,
+                    dst,
+                    self.len,
+                    now,
+                ));
+                self.remaining -= 1;
+            }
+        }
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            (self.remaining > 0).then_some(now + 1)
+        }
+        fn finished(&self) -> bool {
+            self.remaining == 0
+        }
+    }
+
+    /// A two-tile line with one 0 → 1 flow (or none), `sender` on tile 0,
+    /// a sink on tile 1, and the sweep compiled over both tiles.
+    fn line(
+        cfg: impl FnOnce(NetworkConfig) -> NetworkConfig,
+        sender: Sender,
+        seed: u64,
+    ) -> (Vec<NetworkNode>, MeshKernel) {
+        let flows = vec![FlowSpec::pair(NodeId::new(0), NodeId::new(1), 2)];
+        let config = cfg(NetworkConfig::new(Geometry::line(2)).with_flows(flows));
+        let mut net = Network::new(&config, seed).expect("valid config");
+        net.attach_agent(NodeId::new(0), Box::new(sender));
+        net.attach_agent(NodeId::new(1), Box::new(SinkAgent::new()));
+        let (nodes, _) = net.into_nodes();
+        let kernel = MeshKernel::compile(&nodes, false);
+        (nodes, kernel)
+    }
+
+    fn run(nodes: &mut [NetworkNode], kernel: &mut MeshKernel, cycles: std::ops::Range<Cycle>) {
+        for now in cycles {
+            kernel.posedge(nodes, now);
+            kernel.negedge(nodes, now);
+        }
+    }
+
+    fn one_packet(len: u32) -> Sender {
+        Sender {
+            len,
+            remaining: 1,
+            backlog: 1,
+        }
+    }
+
+    #[test]
+    fn single_packet_traverses_one_hop() {
+        let (mut nodes, mut k) = line(|c| c, one_packet(4), 1);
+        run(&mut nodes, &mut k, 1..40);
+        let s = nodes[1].stats();
+        assert_eq!(s.delivered_flits, 4, "all four flits must be delivered");
+        assert_eq!(s.delivered_packets, 1);
+        assert_eq!(s.avg_hops(), 1.0);
+        assert!(s.avg_packet_latency() > 0.0);
+        assert!(nodes.iter().all(NetworkNode::is_idle));
+    }
+
+    #[test]
+    fn credit_backpressure_never_overflows_buffers() {
+        let narrow = |mut c: NetworkConfig| {
+            c.vcs_per_port = 1;
+            c.vc_capacity = 2;
+            c.injection_vcs = 1;
+            c.injection_vc_capacity = 32;
+            c
+        };
+        // A long packet that cannot fit in the downstream buffer at once.
+        let (mut nodes, mut k) = line(narrow, one_packet(16), 3);
+        run(&mut nodes, &mut k, 1..200);
+        assert_eq!(nodes[1].stats().delivered_flits, 16);
+        for n in &nodes {
+            assert_eq!(n.stats().routing_failures, 0, "no push may ever fail");
+        }
+    }
+
+    #[test]
+    fn unroutable_packets_are_dropped_and_counted() {
+        // No flows configured -> empty routing tables -> RC fails.
+        let (mut nodes, mut k) = line(|c| c.with_flows(Vec::new()), one_packet(4), 5);
+        run(&mut nodes, &mut k, 1..30);
+        assert_eq!(nodes[0].stats().routing_failures, 1);
+        assert!(nodes[0].is_idle(), "dropped flits must drain");
+    }
+
+    #[test]
+    fn identical_seeds_give_identical_results() {
+        let latency = |seed: u64| {
+            let sender = Sender {
+                len: 8,
+                remaining: 6,
+                backlog: 2,
+            };
+            let (mut nodes, mut k) = line(|c| c, sender, seed);
+            run(&mut nodes, &mut k, 1..200);
+            nodes[1].stats().total_packet_latency
+        };
+        assert_eq!(latency(11), latency(11));
+    }
+
+    /// Capacity-bearing pointers of the sweep's and the routers' reusable
+    /// hot-path buffers.
+    fn scratch_fingerprint(k: &MeshKernel, nodes: &[NetworkNode]) -> Vec<usize> {
+        let mut fp = vec![
+            k.busy.as_ptr() as usize,
+            k.sa_cand.as_ptr() as usize,
+            k.route_scratch.as_ptr() as usize,
+            k.downstream_scratch.as_ptr() as usize,
+            k.vca_scratch.as_ptr() as usize,
+            k.staged_count.as_ptr() as usize,
+        ];
+        for n in nodes {
+            let r = &n.router;
+            fp.extend([
+                r.masks.as_ptr() as usize,
+                r.staged.as_ptr() as usize,
+                r.staged_drops.as_ptr() as usize,
+                r.delivered.as_ptr() as usize,
+            ]);
+        }
+        fp
+    }
+
+    #[test]
+    fn steady_state_posedge_reuses_scratch_allocations() {
+        // Saturate a 2-tile line with continuous traffic, warm the scratch
+        // buffers up, then assert their backing allocations stay put for a
+        // thousand busy cycles: the zero-allocation hot-path guarantee.
+        let sender = Sender {
+            len: 4,
+            remaining: u64::MAX,
+            backlog: 4,
+        };
+        let (mut nodes, mut k) = line(|c| c, sender, 21);
+        run(&mut nodes, &mut k, 1..101);
+        let fp = scratch_fingerprint(&k, &nodes);
+        for now in 101..=1100 {
+            run(&mut nodes, &mut k, now..now + 1);
+            assert_eq!(
+                scratch_fingerprint(&k, &nodes),
+                fp,
+                "cycle {now}: scratch moved"
+            );
+        }
+        assert!(
+            nodes[1].stats().delivered_flits > 500,
+            "traffic must actually flow"
+        );
     }
 }

@@ -13,14 +13,16 @@
 //!   Valiant, ROMM, PROM, load-balanced static) and minimal adaptive routing;
 //! * [`vca`] — virtual-channel allocation (dynamic, static-set,
 //!   phase-separated, EDVCA, FAA, explicit tables);
-//! * [`router`] — the RC/VA/SA/ST router pipeline with randomized arbitration;
-//! * [`vcbuf`] — the dual-lock ingress VC buffer shared between tiles;
+//! * [`router`] — the router's ports, per-VC state and predicate masks;
+//! * [`kernel`] — the RC/VA/SA/ST router pipeline with randomized
+//!   arbitration, swept stage by stage across a set of tiles;
+//! * [`vcbuf`] — the lock-free SPSC ingress VC buffer shared between tiles;
 //! * [`boundary`] — lock-free SPSC flit/credit mailboxes for links cut
 //!   between two shards of a partitioned parallel simulation;
 //! * [`link`] — bandwidth-adaptive bidirectional links;
 //! * [`bridge`] / [`agent`] — the packet-level interface between routers and
 //!   attached cores, injectors and memory controllers;
-//! * [`network`] — assembly plus a single-threaded reference simulator;
+//! * [`network`] — assembly plus the single-threaded simulator;
 //! * [`ideal`] — the congestion-oblivious baseline network model;
 //! * [`stats`] — per-tile statistics that travel with the flits.
 //!

@@ -1,8 +1,9 @@
-//! Network assembly and the single-threaded reference simulator.
+//! Network assembly and the single-threaded simulator.
 //!
 //! [`Network::new`] builds one router + bridge per node from a
 //! [`NetworkConfig`], wires all inter-router buffers (and bandwidth-adaptive
-//! links when enabled), and exposes a simple sequential `step`/`run` loop.
+//! links when enabled), and exposes a sequential `step`/`run` loop that
+//! drives every tile through the pipeline sweep ([`MeshKernel`]).
 //! The parallel engine in `hornet-core` consumes the same [`NetworkNode`]s via
 //! [`Network::into_nodes`] and drives them from multiple threads; by
 //! construction both produce bit-identical results in cycle-accurate mode.
@@ -14,7 +15,7 @@ use crate::config::{ConfigError, NetworkConfig};
 use crate::flit::{DeliveredPacket, Packet};
 use crate::geometry::Geometry;
 use crate::ids::{Cycle, NodeId, PacketId};
-use crate::kernel::{KernelMode, MeshKernel, StageTimes};
+use crate::kernel::{MeshKernel, StageTimes};
 use crate::link::BidirLink;
 use crate::payload::PayloadStore;
 use crate::router::{Router, RouterConfig};
@@ -140,15 +141,8 @@ impl NetworkNode {
         }
     }
 
-    /// Positive clock edge: run the router pipeline and step the agents.
-    pub fn posedge(&mut self, now: Cycle) {
-        self.router
-            .posedge_traced(now, &mut self.rng, self.tracer.as_deref_mut());
-        self.tick_agents(now);
-    }
-
     /// Steps the tile's agents (the non-router half of the positive edge; the
-    /// compiled kernel runs the router pipeline itself and then calls this).
+    /// pipeline sweep runs the router stages and then calls this).
     pub(crate) fn tick_agents(&mut self, now: Cycle) {
         for agent in &mut self.agents {
             let mut io = TileIo {
@@ -159,17 +153,8 @@ impl NetworkNode {
         }
     }
 
-    /// Negative clock edge: apply staged router moves, hand ejected flits to
-    /// the bridge, and inject queued flits into the network.
-    pub fn negedge(&mut self, now: Cycle) {
-        self.router.negedge(now);
-        self.negedge_bridge(now);
-    }
-
     /// The bridge half of the negative edge: hand ejected flits to the bridge
-    /// and inject queued flits into the network. Split out so the compiled
-    /// kernel can apply the router's staged moves itself and still share this
-    /// code path (FlitEject tracing included).
+    /// (FlitEject tracing included) and inject queued flits into the network.
     pub(crate) fn negedge_bridge(&mut self, now: Cycle) {
         // Drain the delivery queue in place so its allocation is reused every
         // cycle (the router hot path never gives up scratch capacity).
@@ -294,16 +279,6 @@ impl NetworkNode {
     }
 }
 
-/// Compiled-kernel slot: lazily built, invalidated on structural mutation.
-enum KernelSlot {
-    /// Needs a (re)compile attempt before the next cycle.
-    Stale,
-    /// Kernel compiled and driving the cycle loop.
-    Active(Box<MeshKernel>),
-    /// Kernel disabled or config ineligible; interpreter drives the loop.
-    Fallback,
-}
-
 /// The assembled network plus the sequential reference simulator.
 pub struct Network {
     nodes: Vec<NetworkNode>,
@@ -311,9 +286,11 @@ pub struct Network {
     geometry: Geometry,
     cycle: Cycle,
     fast_forward: bool,
-    kernel_mode: KernelMode,
     kernel_timing: bool,
-    kernel: KernelSlot,
+    /// The pipeline sweep over `nodes`; built lazily before the next cycle
+    /// and dropped (it is derived state) whenever the tiles may have changed
+    /// structurally.
+    kernel: Option<Box<MeshKernel>>,
 }
 
 impl std::fmt::Debug for Network {
@@ -418,59 +395,34 @@ impl Network {
             geometry: config.geometry.clone(),
             cycle: 0,
             fast_forward: false,
-            kernel_mode: KernelMode::default(),
             kernel_timing: false,
-            kernel: KernelSlot::Stale,
+            kernel: None,
         })
     }
 
-    /// Selects how the sequential simulator executes cycles: interpreter,
-    /// compiled kernel, or auto-detection (the default). Takes effect on the
-    /// next [`step`](Self::step).
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.kernel_mode = mode;
-        self.kernel = KernelSlot::Stale;
-    }
-
-    /// The configured kernel mode (before auto-detection).
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
-    }
-
-    /// Enables per-stage wall-clock timing inside the compiled kernel (for
-    /// benchmarking; adds a few `Instant` reads per cycle).
+    /// Enables per-stage wall-clock timing in the pipeline sweep (for
+    /// benchmarking; adds a few `Instant` reads per cycle). Restarts the
+    /// stage timers.
     pub fn set_kernel_timing(&mut self, enabled: bool) {
         self.kernel_timing = enabled;
-        self.kernel = KernelSlot::Stale;
+        self.kernel = None;
     }
 
-    /// True if the compiled kernel will drive the next cycle (compiling it
-    /// now if the decision is still pending).
-    pub fn kernel_active(&mut self) -> bool {
-        self.ensure_kernel();
-        matches!(self.kernel, KernelSlot::Active(_))
+    /// Always true: every cycle runs the one pipeline sweep. Kept for the
+    /// benchmark, which reports it.
+    pub fn kernel_active(&self) -> bool {
+        true
     }
 
-    /// Accumulated per-stage kernel timings (zero unless
-    /// [`set_kernel_timing`](Self::set_kernel_timing) was enabled).
+    /// Accumulated per-stage timings since the sweep was last rebuilt (zero
+    /// unless [`set_kernel_timing`](Self::set_kernel_timing) was enabled).
+    /// Always `Some`.
     pub fn kernel_stage_times(&self) -> Option<StageTimes> {
-        match &self.kernel {
-            KernelSlot::Active(k) => Some(k.stage_times()),
-            _ => None,
-        }
-    }
-
-    fn ensure_kernel(&mut self) {
-        if matches!(self.kernel, KernelSlot::Stale) {
-            self.kernel = if self.kernel_mode.enabled() {
-                match MeshKernel::compile(&self.nodes, self.kernel_timing) {
-                    Some(k) => KernelSlot::Active(Box::new(k)),
-                    None => KernelSlot::Fallback,
-                }
-            } else {
-                KernelSlot::Fallback
-            };
-        }
+        Some(
+            self.kernel
+                .as_ref()
+                .map_or_else(StageTimes::default, |k| k.stage_times()),
+        )
     }
 
     /// The geometry this network was assembled from (used by the sharded
@@ -499,10 +451,10 @@ impl Network {
         &self.nodes[id.index()]
     }
 
-    /// Mutable access to one tile. Invalidates the compiled kernel's derived
-    /// state (it is rebuilt — cheaply — before the next cycle).
+    /// Mutable access to one tile. Drops the pipeline sweep's derived state
+    /// (it is rebuilt — cheaply — before the next cycle).
     pub fn node_mut(&mut self, id: NodeId) -> &mut NetworkNode {
-        self.kernel = KernelSlot::Stale;
+        self.kernel = None;
         &mut self.nodes[id.index()]
     }
 
@@ -559,18 +511,12 @@ impl Network {
     /// Advances the simulation by exactly one cycle.
     pub fn step(&mut self) {
         let now = self.cycle + 1;
-        self.ensure_kernel();
-        if let KernelSlot::Active(kernel) = &mut self.kernel {
-            kernel.posedge(&mut self.nodes, now);
-            kernel.negedge(&mut self.nodes, now);
-        } else {
-            for node in &mut self.nodes {
-                node.posedge(now);
-            }
-            for node in &mut self.nodes {
-                node.negedge(now);
-            }
-        }
+        let (nodes, timing) = (&mut self.nodes, self.kernel_timing);
+        let kernel = self
+            .kernel
+            .get_or_insert_with(|| Box::new(MeshKernel::compile(nodes, timing)));
+        kernel.posedge(nodes, now);
+        kernel.negedge(nodes, now);
         self.cycle = now;
     }
 
@@ -673,7 +619,7 @@ impl Network {
     /// Fails with `InvalidData` if the checkpoint does not match this
     /// network's shape or is corrupt.
     pub fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.kernel = KernelSlot::Stale;
+        self.kernel = None;
         let mut d = Dec::new(bytes);
         self.cycle = d.u64()?;
         if d.u32()? as usize != self.nodes.len() {

@@ -225,8 +225,8 @@ impl VcBuffer {
 
     /// A snapshot of the head flit among the already-absorbed run, without
     /// advancing the absorb boundary and ignoring the visibility timestamp
-    /// (callers check `visible_at` on the copy). Used by the compiled kernel
-    /// to refresh its head cache after a pop without re-absorbing.
+    /// (callers check `visible_at` on the copy). Used by the pipeline sweep
+    /// to refresh a router's head cache after a pop without re-absorbing.
     pub fn head_snapshot(&self) -> Option<Flit> {
         let read_pos = self.read_pos.load(Ordering::Relaxed);
         if read_pos < self.visible.load(Ordering::Relaxed) {
@@ -276,6 +276,11 @@ impl VcBuffer {
     /// visibility timestamp; used for statistics).
     pub fn head_len(&self) -> usize {
         (self.visible.load(Ordering::Relaxed) - self.read_pos.load(Ordering::Relaxed)) as usize
+    }
+
+    /// Flits deposited but not yet absorbed (consumer-side query).
+    pub(crate) fn unabsorbed(&self) -> usize {
+        (self.write_pos.load(Ordering::Acquire) - self.visible.load(Ordering::Relaxed)) as usize
     }
 
     /// True if the buffer holds no flits at all.

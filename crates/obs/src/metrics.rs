@@ -240,6 +240,20 @@ pub(crate) fn get_u64(buf: &mut &[u8]) -> io::Result<u64> {
     Ok(u64::from_le_bytes(take(buf, 8)?.try_into().unwrap()))
 }
 
+/// Reads a `u32` element count and rejects it unless the remaining bytes can
+/// hold that many elements of at least `min_elem_bytes` each — the rule of
+/// `hornet_net::codec::Dec::count`, for this crate's records.
+pub(crate) fn get_count(buf: &mut &[u8], min_elem_bytes: usize) -> io::Result<usize> {
+    let n = get_u32(buf)? as usize;
+    if n.saturating_mul(min_elem_bytes.max(1)) > buf.len() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("element count {n} exceeds the remaining input"),
+        ));
+    }
+    Ok(n)
+}
+
 impl TelemetrySample {
     /// Serializes the sample to the fixed little-endian wire layout.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
@@ -284,8 +298,9 @@ impl TelemetrySample {
             ingest_ns: get_u64(buf)?,
             flush_ns: get_u64(buf)?,
         };
-        let n = get_u32(buf)? as usize;
-        let mut metrics = Vec::with_capacity(n.min(1024));
+        // Each metric is at least a name length and a value.
+        let n = get_count(buf, 12)?;
+        let mut metrics = Vec::with_capacity(n);
         for _ in 0..n {
             let len = get_u32(buf)? as usize;
             let name = std::str::from_utf8(take(buf, len)?)

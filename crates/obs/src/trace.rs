@@ -32,7 +32,7 @@
 //! are host-timing-dependent by nature and live in separate rings;
 //! [`TraceDump::flit_events`] selects the deterministic subset.
 
-use crate::metrics::{escape_json, get_u32, get_u64, take};
+use crate::metrics::{escape_json, get_count, get_u32, get_u64, take};
 use std::fmt::Write as _;
 use std::io;
 
@@ -208,6 +208,9 @@ impl TraceRing {
     }
 }
 
+/// Encoded size of one [`TraceEvent`]: cycle, node, kind, `a`, `b`.
+const EVENT_WIRE_BYTES: usize = 8 + 4 + 1 + 8 + 8;
+
 /// A collection of drained rings: the unit of export and wire transfer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceDump {
@@ -249,7 +252,7 @@ impl TraceDump {
 
     /// Serializes the dump to the fixed little-endian wire layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + self.events.len() * 29);
+        let mut buf = Vec::with_capacity(12 + self.events.len() * EVENT_WIRE_BYTES);
         buf.extend_from_slice(&self.dropped.to_le_bytes());
         buf.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
         for e in &self.events {
@@ -270,8 +273,8 @@ impl TraceDump {
     pub fn decode(mut buf: &[u8]) -> io::Result<Self> {
         let buf = &mut buf;
         let dropped = get_u64(buf)?;
-        let count = get_u32(buf)? as usize;
-        let mut events = Vec::with_capacity(count.min(1 << 20));
+        let count = get_count(buf, EVENT_WIRE_BYTES)?;
+        let mut events = Vec::with_capacity(count);
         for _ in 0..count {
             events.push(TraceEvent {
                 cycle: get_u64(buf)?,

@@ -30,7 +30,7 @@ use crate::termination::{LedgerState, ShardLedger};
 use hornet_net::boundary::{BoundaryLink, BoundaryRx};
 use hornet_net::flit::Packet;
 use hornet_net::ids::{Cycle, PacketId};
-use hornet_net::kernel::{KernelMode, MeshKernel};
+use hornet_net::kernel::MeshKernel;
 use hornet_net::network::NetworkNode;
 use hornet_net::payload::PayloadStore;
 use hornet_net::stats::NetworkStats;
@@ -265,11 +265,6 @@ pub struct DriverParams {
     /// roughly every this many cycles (checked at batch boundaries, so the
     /// actual period is rounded up to the quantum). `None` disables sampling.
     pub telemetry_every: Option<u64>,
-    /// Cycle-execution strategy: interpreter, compiled kernel, or
-    /// auto-detection. The kernel is compiled per run (after boundary wiring,
-    /// so cut links are seen as boundary channels) and is bit-identical to
-    /// the interpreter; ineligible configurations silently interpret.
-    pub kernel: KernelMode,
 }
 
 /// What one driven run reports back to its host.
@@ -421,14 +416,11 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
     /// mailbox flits and merges statistics afterwards.
     pub fn run(mut self, p: &DriverParams) -> io::Result<DriveOutcome> {
         let end = p.start + p.cycles;
-        // Compiled per run: boundary wiring is done by now, and dropping the
-        // kernel at the end keeps it strictly derived state (the next run —
-        // possibly after a restore — recompiles from the tiles, all-dirty).
-        let mut kernel = if p.kernel.enabled() {
-            MeshKernel::compile(self.tiles, false)
-        } else {
-            None
-        };
+        // Built per run: boundary wiring is done by now (cut links are
+        // boundary channels), and dropping the sweep at the end keeps it
+        // strictly derived state (the next run — possibly after a restore —
+        // rebuilds it from the tiles, all-dirty).
+        let mut kernel = MeshKernel::compile(self.tiles, false);
         let quantum = p.quantum.max(1);
         let mut now = p.start;
         let mut recv_total = p.received_start;
@@ -562,18 +554,10 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     let delivered = rx.deliver(flit_limit);
                     recv_total += delivered as u64;
                     if delivered > 0 {
-                        if let Some(k) = kernel.as_mut() {
-                            k.note_external_push(rx.target());
-                        }
+                        kernel.note_external_push(rx.target());
                     }
                 }
-                if let Some(k) = kernel.as_mut() {
-                    k.posedge(self.tiles, next);
-                } else {
-                    for tile in self.tiles.iter_mut() {
-                        tile.posedge(next);
-                    }
-                }
+                kernel.posedge(self.tiles, next);
                 // Bandwidth-adaptive links publish demand at the negative
                 // edge into a single shared slot; backends whose cut links
                 // carry them hold the negedge until the neighbors' posedges
@@ -587,13 +571,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 if p.profile {
                     profile.wait_ns += lap(&mut mark);
                 }
-                if let Some(k) = kernel.as_mut() {
-                    k.negedge(self.tiles, next);
-                } else {
-                    for tile in self.tiles.iter_mut() {
-                        tile.negedge(next);
-                    }
-                }
+                kernel.negedge(self.tiles, next);
                 for rx in self.inbound.iter_mut() {
                     rx.emit_credits(next);
                 }

@@ -59,7 +59,6 @@ use crate::sys;
 use crate::termination::{scan_ledgers, Quiescence, ShardLedger};
 use hornet_net::boundary::{BoundaryLink, BoundaryRx, EgressChannel};
 use hornet_net::ids::Cycle;
-use hornet_net::kernel::KernelMode;
 use hornet_net::network::NetworkNode;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::{MetricsRegistry, TelemetrySample};
@@ -108,9 +107,6 @@ pub struct RunParams {
     /// it is emitted (in addition to the per-run sample vector), feeding the
     /// embedded HTTP status server. `None` keeps sampling purely end-of-run.
     pub live: Option<Arc<ObsHub>>,
-    /// Cycle-execution strategy per shard: interpreter, compiled kernel, or
-    /// auto-detection (bit-identical either way).
-    pub kernel: KernelMode,
 }
 
 /// Result of one sharded run.
@@ -389,7 +385,6 @@ fn run_shard(job: Job) -> JobResult {
             received_start: 0,
             profile: p.profile,
             telemetry_every: p.telemetry_every,
-            kernel: p.kernel,
         })
         .expect("thread transport cannot fail");
 

@@ -170,12 +170,12 @@ pub fn restore_shard(
     for link in outbound {
         let pushed = d.u64()?;
         let outstanding = d.u64()? as usize;
-        let n = d.u32()? as usize;
+        let n = d.count(codec::FLIT_WIRE_BYTES)?;
         let mut flits = Vec::with_capacity(n);
         for _ in 0..n {
             flits.push(codec::decode_flit(&mut d)?);
         }
-        let n = d.u32()? as usize;
+        let n = d.count(codec::CREDIT_WIRE_BYTES)?;
         let mut credits = Vec::with_capacity(n);
         for _ in 0..n {
             credits.push(codec::decode_credit(&mut d)?);
@@ -194,7 +194,7 @@ pub fn restore_shard(
         return Err(corrupt("inbound link count mismatch"));
     }
     for rx in inbound.iter_mut() {
-        let n = d.u32()? as usize;
+        let n = d.count(codec::FLIT_WIRE_BYTES)?;
         let mut flits = Vec::with_capacity(n);
         for _ in 0..n {
             flits.push(codec::decode_flit(&mut d)?);
@@ -264,5 +264,36 @@ impl CheckpointSink for LatestCheckpoint {
     fn checkpoint(&mut self, cycle: Cycle, state: &[u8]) -> io::Result<()> {
         self.latest = Some((cycle, state.to_vec()));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::NoPayloads;
+
+    /// A checkpoint whose header is valid but whose one outbound link claims
+    /// `flits` staged flits followed by nothing.
+    fn claiming(flits: u32) -> Vec<u8> {
+        let mut e = Enc::new();
+        e.u32(SHARD_CHECKPOINT_VERSION).u64(7).u64(0);
+        e.u32(0); // tiles
+        e.u32(1); // outbound links
+        e.u64(0).u64(0).u32(flits);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn corrupt_flit_counts_are_rejected_before_allocating() {
+        let outbound = [BoundaryLink::new(4)];
+        for flits in [u32::MAX, 1] {
+            let err = restore_shard(&claiming(flits), &mut [], &outbound, &mut [], &NoPayloads)
+                .expect_err("a count the input cannot hold must fail");
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidData,
+                "{flits} flits: {err}"
+            );
+        }
     }
 }
