@@ -17,7 +17,7 @@
 //! bandwidth-adaptive demand publication) followed by the bridge half.
 //!
 //! Each stage collects its candidates by walking the routers' predicate
-//! masks ([`VcMasks`](crate::router::VcMasks): cached head, Routed, Active,
+//! masks (`VcMasks` in [`router`](crate::router): cached head, Routed, Active,
 //! Dropping), so it only ever visits VCs it can act on. Two properties make
 //! the sweep cheap:
 //!

@@ -24,10 +24,10 @@
 //!
 //! All per-VC state is flat, indexed by the router's *VC number*: ingress
 //! ports in order, and each port's VCs in order within it. Next to it live
-//! the **predicate masks** ([`VcMasks`]), one bit per VC, 64 VCs per word:
+//! the **predicate masks** (`VcMasks`), one bit per VC, 64 VCs per word:
 //! head flit cached, `Routed`, `Active` and `Dropping`. Every change to a
-//! VC's state or cached head goes through [`Router::set_state`] /
-//! [`Router::set_head`], which keep the masks exact, so each stage collects
+//! VC's state or cached head goes through `Router::set_state` /
+//! `Router::set_head`, which keep the masks exact, so each stage collects
 //! its candidates by walking mask bits instead of scanning every VC. The
 //! masks are derived state: snapshots exclude them and a restore rebuilds
 //! them.
