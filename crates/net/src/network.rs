@@ -279,7 +279,7 @@ impl NetworkNode {
     }
 }
 
-/// The assembled network plus the sequential reference simulator.
+/// The assembled network plus the sequential simulator.
 pub struct Network {
     nodes: Vec<NetworkNode>,
     payload_store: Arc<PayloadStore>,
