@@ -3,8 +3,8 @@
 //! falls back to breadth-first shortest paths.
 
 use crate::geometry::{Geometry, Topology};
-use crate::ids::NodeId;
-use crate::routing::table::RoutingTable;
+use crate::ids::{FlowId, NodeId};
+use crate::routing::table::{freeze_normalized, RoutingTable, RoutingTableBuilder};
 use crate::routing::FlowSpec;
 
 /// Which dimension is resolved first.
@@ -157,37 +157,33 @@ pub fn bfs_path(geometry: &Geometry, src: NodeId, dst: NodeId) -> Vec<NodeId> {
 /// Installs a single path into per-node routing tables for a flow, with the
 /// given weight, keeping the flow identifier constant along the path.
 pub fn install_path(
-    tables: &mut [RoutingTable],
+    tables: &mut [RoutingTableBuilder],
     path: &[NodeId],
-    flow: crate::ids::FlowId,
+    flow: FlowId,
     weight: f64,
 ) {
-    install_path_with_flows(tables, path, &vec![flow; path.len()], weight);
+    install_path_with(tables, path, weight, |_| flow);
 }
 
 /// Installs a path where each position may carry a different (renamed) flow
-/// identifier. `flows[i]` is the flow identifier the packet carries when it is
-/// *at* `path[i]`; renaming to `flows[i+1]` happens on the hop out of
+/// identifier. `flow_at(i)` is the flow identifier the packet carries when it
+/// is *at* `path[i]`; renaming to `flow_at(i + 1)` happens on the hop out of
 /// `path[i]`.
-pub fn install_path_with_flows(
-    tables: &mut [RoutingTable],
+pub fn install_path_with(
+    tables: &mut [RoutingTableBuilder],
     path: &[NodeId],
-    flows: &[crate::ids::FlowId],
     weight: f64,
+    flow_at: impl Fn(usize) -> FlowId,
 ) {
-    assert_eq!(path.len(), flows.len());
-    if path.is_empty() {
-        return;
-    }
-    for i in 0..path.len() {
-        let node = path[i];
-        let prev = if i == 0 { path[0] } else { path[i - 1] };
-        let flow_here = flows[i];
-        if i + 1 < path.len() {
-            tables[node.index()].add(prev, flow_here, path[i + 1], flows[i + 1], weight);
-        } else {
+    for (i, &node) in path.iter().enumerate() {
+        let prev = if i == 0 { node } else { path[i - 1] };
+        let flow_here = flow_at(i);
+        match path.get(i + 1) {
+            Some(&next) => tables[node.index()].add(prev, flow_here, next, flow_at(i + 1), weight),
             // Terminal entry: deliver locally, restoring the base flow.
-            tables[node.index()].add(prev, flow_here, node, flows[i].with_phase(0), weight);
+            None => {
+                tables[node.index()].add(prev, flow_here, node, flow_here.with_phase(0), weight)
+            }
         }
     }
 }
@@ -198,15 +194,12 @@ pub fn build_dor_tables(
     flows: &[FlowSpec],
     order: DimensionOrder,
 ) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![RoutingTableBuilder::new(); geometry.node_count()];
     for spec in flows {
         let path = dor_path(geometry, spec.src, spec.dst, order);
         install_path(&mut tables, &path, spec.flow, 1.0);
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    freeze_normalized(tables)
 }
 
 #[cfg(test)]
@@ -283,13 +276,48 @@ mod tests {
             assert_eq!(!t.is_empty(), expected, "node {i}");
         }
         // Source entry keyed by (self, flow).
-        let src_entry = tables[6].lookup(n(6), flow.flow);
+        let src_entry: Vec<_> = tables[6].lookup(n(6), flow.flow).collect();
         assert_eq!(src_entry.len(), 1);
         assert_eq!(src_entry[0].next_node, n(7));
         // Terminal entry at the destination delivers locally.
-        let dst_entry = tables[2].lookup(n(5), flow.flow);
+        let dst_entry: Vec<_> = tables[2].lookup(n(5), flow.flow).collect();
         assert_eq!(dst_entry.len(), 1);
         assert_eq!(dst_entry[0].next_node, n(2));
+    }
+
+    #[test]
+    fn xy_all_to_all_tables_hold_one_entry_per_crossing_and_few_lists() {
+        use crate::routing::RoutingPolicy;
+        use std::collections::HashSet;
+        use std::sync::Arc;
+        let g = Geometry::mesh2d(16, 16);
+        let mut flows = FlowSpec::all_to_all(&g);
+        let missing = flows.remove(100);
+        let tables = build_dor_tables(&g, &flows, DimensionOrder::XFirst);
+        // Every (prev, flow) pair an XY path crosses at each node.
+        let mut crossings = vec![HashSet::new(); g.node_count()];
+        for spec in &flows {
+            let path = dor_path(&g, spec.src, spec.dst, DimensionOrder::XFirst);
+            for (i, &node) in path.iter().enumerate() {
+                let prev = if i == 0 { node } else { path[i - 1] };
+                crossings[node.index()].insert((prev, spec.flow));
+            }
+        }
+        for (node, t) in tables.iter().enumerate() {
+            assert_eq!(t.len(), crossings[node].len(), "node {node}");
+            assert!(t.list_count() <= 5, "node {node}: {t:?}");
+        }
+        let policies: Vec<_> = tables
+            .into_iter()
+            .map(|t| RoutingPolicy::Table(Arc::new(t)))
+            .collect();
+        let src = missing.src;
+        let cands = policies[src.index()].candidates(src, src, missing.flow, missing.dst);
+        assert!(cands.is_empty(), "{cands:?}");
+        let other = flows[100];
+        let cands =
+            policies[other.src.index()].candidates(other.src, other.src, other.flow, other.dst);
+        assert_eq!(cands.len(), 1);
     }
 
     #[test]

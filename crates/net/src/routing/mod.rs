@@ -17,7 +17,7 @@ pub mod staticlb;
 pub mod table;
 
 pub use adaptive::DistanceMatrix;
-pub use table::{NextHop, RoutingTable};
+pub use table::{NextHop, RoutingTable, RoutingTableBuilder};
 
 use crate::geometry::Geometry;
 use crate::ids::{FlowId, NodeId};
@@ -161,7 +161,7 @@ impl RoutingPolicy {
     ) {
         out.clear();
         match self {
-            RoutingPolicy::Table(table) => out.extend_from_slice(table.lookup(prev, flow)),
+            RoutingPolicy::Table(table) => out.extend(table.lookup(prev, flow)),
             RoutingPolicy::AdaptiveMinimal(dist) => {
                 if node == dst {
                     out.push(NextHop {

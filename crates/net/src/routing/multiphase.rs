@@ -8,8 +8,8 @@
 
 use crate::geometry::{Geometry, Topology};
 use crate::ids::NodeId;
-use crate::routing::dor::{dor_path, install_path, install_path_with_flows, DimensionOrder};
-use crate::routing::table::RoutingTable;
+use crate::routing::dor::{dor_path, install_path, install_path_with, DimensionOrder};
+use crate::routing::table::{freeze_normalized, RoutingTable, RoutingTableBuilder};
 use crate::routing::FlowSpec;
 
 /// Phase tag used for the YX subroute of O1TURN and the first (to-intermediate)
@@ -21,7 +21,7 @@ pub const AUX_PHASE: u8 = 1;
 /// allocation can keep the two subroutes on disjoint virtual channels
 /// (the deadlock-freedom condition of O1TURN).
 pub fn build_o1turn_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![RoutingTableBuilder::new(); geometry.node_count()];
     for spec in flows {
         let xy = dor_path(geometry, spec.src, spec.dst, DimensionOrder::XFirst);
         let yx = dor_path(geometry, spec.src, spec.dst, DimensionOrder::YFirst);
@@ -31,14 +31,16 @@ pub fn build_o1turn_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routi
             continue;
         }
         install_path(&mut tables, &xy, spec.flow, 0.5);
-        let mut yx_flows = vec![spec.flow.with_phase(AUX_PHASE); yx.len()];
-        yx_flows[0] = spec.flow; // the packet is injected carrying the base flow
-        install_path_with_flows(&mut tables, &yx, &yx_flows, 0.5);
+        // The packet is injected carrying the base flow.
+        install_path_with(&mut tables, &yx, 0.5, |i| {
+            if i == 0 {
+                spec.flow
+            } else {
+                spec.flow.with_phase(AUX_PHASE)
+            }
+        });
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    freeze_normalized(tables)
 }
 
 /// Returns the candidate intermediate nodes for a flow: the whole network for
@@ -92,16 +94,19 @@ fn intermediates(geometry: &Geometry, spec: &FlowSpec, minimal_rectangle: bool) 
 /// paper (§II-A2): weights at a node are proportional to the number of
 /// intermediate choices whose route continues through each next hop.
 ///
-/// The table size (and construction time) is `O(flows × intermediates ×
-/// path length)`; the paper's ROMM experiments use 8×8 meshes, where this is
-/// trivially cheap. Prefer XY/O1TURN for all-to-all flow sets on ≥ 32×32
-/// meshes.
+/// Construction appends one 16-byte row per node of every route, so build
+/// time and transient memory are `O(flows × intermediates × path length)`;
+/// the frozen tables keep one 16-byte index slot per distinct `⟨prev, flow⟩`
+/// key plus the interned option lists. The paper's ROMM experiments use 8×8
+/// meshes, where this is cheap (all-to-all Valiant on 8×8 appends 3.0M
+/// rows, 45 MiB). Prefer XY/O1TURN for all-to-all flow sets on ≥ 16×16
+/// meshes: all-to-all Valiant there appends 372M rows (5.5 GiB).
 pub fn build_valiant_tables(
     geometry: &Geometry,
     flows: &[FlowSpec],
     minimal_rectangle: bool,
 ) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![RoutingTableBuilder::new(); geometry.node_count()];
     for spec in flows {
         let mids = intermediates(geometry, spec, minimal_rectangle);
         for m in mids {
@@ -113,28 +118,21 @@ pub fn build_valiant_tables(
             let p1 = dor_path(geometry, spec.src, m, DimensionOrder::XFirst);
             let p2 = dor_path(geometry, m, spec.dst, DimensionOrder::XFirst);
             // Combined node sequence: src .. m .. dst (m appears once).
-            let mut path = p1.clone();
+            let mut path = p1;
+            let to_mid = path.len();
             path.extend_from_slice(&p2[1..]);
             // Flow carried at each position: base at the source, the renamed
             // phase-1 flow until the intermediate node (inclusive), base after.
-            let mut path_flows = Vec::with_capacity(path.len());
-            for (i, _) in path.iter().enumerate() {
-                let flow = if i == 0 {
+            install_path_with(&mut tables, &path, 1.0, |i| {
+                if i == 0 || i >= to_mid {
                     spec.flow
-                } else if i < p1.len() {
-                    spec.flow.with_phase(AUX_PHASE)
                 } else {
-                    spec.flow
-                };
-                path_flows.push(flow);
-            }
-            install_path_with_flows(&mut tables, &path, &path_flows, 1.0);
+                    spec.flow.with_phase(AUX_PHASE)
+                }
+            });
         }
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    freeze_normalized(tables)
 }
 
 #[cfg(test)]
@@ -161,11 +159,11 @@ mod tests {
         let g = Geometry::mesh2d(3, 3);
         let spec = FlowSpec::pair(n(6), n(2), 9);
         let tables = build_o1turn_tables(&g, &[spec]);
-        let options = tables[6].lookup(n(6), spec.flow);
+        let options: Vec<_> = tables[6].lookup(n(6), spec.flow).collect();
         assert_eq!(options.len(), 2);
         let nodes: Vec<_> = options.iter().map(|o| o.next_node).collect();
         assert!(nodes.contains(&n(3)) && nodes.contains(&n(7)));
-        for o in options {
+        for o in &options {
             assert!((o.weight - 0.5).abs() < 1e-9);
         }
         // Destination has two entries: one arriving from node 1 (YX) and one
@@ -184,7 +182,7 @@ mod tests {
         let g = Geometry::mesh2d(3, 3);
         let spec = FlowSpec::pair(n(3), n(5), 9);
         let tables = build_o1turn_tables(&g, &[spec]);
-        let options = tables[3].lookup(n(3), spec.flow);
+        let options: Vec<_> = tables[3].lookup(n(3), spec.flow).collect();
         assert_eq!(options.len(), 1);
         assert!((options[0].weight - 1.0).abs() < 1e-9);
     }
@@ -221,7 +219,7 @@ mod tests {
         let g = Geometry::mesh2d(4, 4);
         let spec = FlowSpec::pair(n(0), n(1), 16);
         let tables = build_valiant_tables(&g, &[spec], false);
-        let options = tables[0].lookup(n(0), spec.flow);
+        let options: Vec<_> = tables[0].lookup(n(0), spec.flow).collect();
         assert!(
             options.len() >= 2,
             "expected nonminimal options, got {options:?}"
@@ -237,9 +235,9 @@ mod tests {
         let spec = FlowSpec::pair(n(6), n(2), 9);
         let tables = build_valiant_tables(&g, &[spec], true);
         let phase1 = spec.flow.with_phase(AUX_PHASE);
-        let opts = tables[4].lookup(n(7), phase1);
+        let opts: Vec<_> = tables[4].lookup(n(7), phase1).collect();
         assert_eq!(opts.len(), 2, "{opts:?}");
-        for o in opts {
+        for o in &opts {
             assert!((o.weight - 0.5).abs() < 1e-9, "{opts:?}");
             if o.next_node == n(5) {
                 assert_eq!(o.next_flow, spec.flow, "renamed back after intermediate");

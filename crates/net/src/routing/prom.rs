@@ -9,7 +9,7 @@
 use crate::geometry::{Geometry, Topology};
 use crate::ids::NodeId;
 use crate::routing::dor::{build_dor_tables, DimensionOrder};
-use crate::routing::table::RoutingTable;
+use crate::routing::table::{freeze_normalized, RoutingTable, RoutingTableBuilder};
 use crate::routing::FlowSpec;
 
 /// Number of minimal lattice paths between two points that are `dx` apart in x
@@ -35,7 +35,7 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
     if !matches!(geometry.topology(), Topology::Mesh2D { .. }) {
         return build_dor_tables(geometry, flows, DimensionOrder::XFirst);
     }
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![RoutingTableBuilder::new(); geometry.node_count()];
     for spec in flows {
         let (dx, dy, _) = geometry.coords(spec.dst).expect("mesh coords");
         let (sx, sy, _) = geometry.coords(spec.src).expect("mesh coords");
@@ -91,10 +91,7 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
             }
         }
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    freeze_normalized(tables)
 }
 
 #[cfg(test)]
@@ -124,9 +121,9 @@ mod tests {
         let g = Geometry::mesh2d(3, 3);
         let spec = FlowSpec::pair(n(6), n(2), 9);
         let tables = build_prom_tables(&g, &[spec]);
-        let options = tables[6].lookup(n(6), spec.flow);
+        let options: Vec<_> = tables[6].lookup(n(6), spec.flow).collect();
         assert_eq!(options.len(), 2);
-        for o in options {
+        for o in &options {
             assert!((o.weight - 0.5).abs() < 1e-9, "{options:?}");
         }
     }
