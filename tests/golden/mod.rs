@@ -111,9 +111,10 @@ impl GoldenCase {
     }
 }
 
-/// The recorded matrix: mesh shapes from 2×2 to 8×8 (square and not), every
+/// The recorded matrix: mesh shapes from 2×2 to 12×11 (square and not), every
 /// routing kind, every VC-allocation kind, bidirectional links on and off,
-/// tiles with more than 64 VCs, and the memory and CPU workloads.
+/// tiles with more than 64 VCs, a tile set spanning several kernel tile
+/// blocks, and the memory and CPU workloads.
 pub fn cases() -> Vec<GoldenCase> {
     use RoutingKind as R;
     use SyntheticPattern as P;
@@ -183,6 +184,12 @@ pub fn cases() -> Vec<GoldenCase> {
         case.spec.injection_vcs = 16;
         out.push(case);
     }
+    // 132 tiles under saturated traffic: several kernel tile blocks plus a
+    // partial one, with every block busy.
+    out.push(
+        GoldenCase::synthetic(12, 11, R::Xy, V::Dynamic, P::UniformRandom, 0.15, 601)
+            .named("saturated"),
+    );
     out.push(GoldenCase {
         name: "3x3-vsum".into(),
         spec: DistSpec {
