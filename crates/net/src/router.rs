@@ -17,20 +17,32 @@
 //! parallel simulation bit-identical to sequential simulation.
 //!
 //! This module holds a router's state; the stages themselves run in the
-//! stage-major sweep of [`kernel`](crate::kernel), which drives every router
-//! of a tile set through absorb → SA → VA → RC and the negative edge.
+//! blocked sweep of [`kernel`](crate::kernel), which drives every router of
+//! a tile set through absorb → SA → VA → RC and the negative edge.
 //!
 //! # State layout
 //!
 //! All per-VC state is flat, indexed by the router's *VC number*: ingress
-//! ports in order, and each port's VCs in order within it. Next to it live
-//! the **predicate masks** (`VcMasks`), one bit per VC, 64 VCs per word:
-//! head flit cached, `Routed`, `Active` and `Dropping`. Every change to a
-//! VC's state or cached head goes through `Router::set_state` /
-//! `Router::set_head`, which keep the masks exact, so each stage collects
-//! its candidates by walking mask bits instead of scanning every VC. The
-//! masks are derived state: snapshots exclude them and a restore rebuilds
-//! them.
+//! ports in order, and each port's VCs in order within it. The hot per-VC
+//! records are small, so a block of tiles stays cache-resident through all
+//! its stages:
+//!
+//! * the receiver state (`VcState`, 16 bytes: egress port and downstream VC
+//!   packed as `u16`, plus the next flow);
+//! * the **head record** (`HeadRecord`, 32 bytes): the fields of the head
+//!   flit that RC, VA and SA read — visibility stamp, flow, packet,
+//!   destination and whether it is a packet head — copied when a VC is
+//!   absorbed or popped, so the stages never touch the buffer.
+//!
+//! Next to them live the **predicate masks** (`VcMasks`), one bit per VC,
+//! 64 VCs per word: head record present, `Routed`, `Active` and
+//! `Dropping`. The head bit is the *only* record of presence: a cleared bit
+//! leaves a stale record behind that nothing reads. Every change to a VC's
+//! state or head goes through `Router::set_state` / `Router::set_head`,
+//! which keep the masks exact, so each stage collects its candidates by
+//! walking mask bits instead of scanning every VC. Head records and masks
+//! are derived state: snapshots exclude them and a restore clears every
+//! head bit and rebuilds the state bits.
 //!
 //! # Hot-path discipline
 //!
@@ -86,21 +98,56 @@ impl Default for RouterConfig {
     }
 }
 
-/// Receiver-side state of one ingress virtual channel.
+/// Receiver-side state of one ingress virtual channel. Egress ports and
+/// downstream VCs are packed as `u16` (16 bytes per VC); [`Router::new`]
+/// and [`Router::restore`] keep every index in range.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum VcState {
     /// No packet is being routed through this VC.
     Idle,
     /// Route computed; waiting for a next-hop VC.
-    Routed { egress: usize, next_flow: FlowId },
+    Routed { egress: u16, next_flow: FlowId },
     /// Next-hop VC allocated; flits may compete for the crossbar.
     Active {
-        egress: usize,
-        out_vc: usize,
+        egress: u16,
+        out_vc: u16,
         next_flow: FlowId,
     },
     /// The packet could not be routed and its flits are being discarded.
     Dropping,
+}
+
+/// What the pipeline reads of a VC's head flit: RC, VA and SA need only
+/// these fields, so the cache holds 32 bytes per VC instead of a whole
+/// [`Flit`]. Whether a record is present is the head bit of the VC's mask
+/// word; a cleared bit leaves a stale record that nothing reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HeadRecord {
+    pub(crate) visible_at: Cycle,
+    pub(crate) flow: FlowId,
+    pub(crate) packet: PacketId,
+    pub(crate) dst: NodeId,
+    pub(crate) is_head: bool,
+}
+
+impl HeadRecord {
+    const EMPTY: Self = Self {
+        visible_at: 0,
+        flow: FlowId::new(0),
+        packet: PacketId::new(0),
+        dst: NodeId::new(0),
+        is_head: false,
+    };
+
+    pub(crate) fn of(f: &Flit) -> Self {
+        Self {
+            visible_at: f.visible_at,
+            flow: f.flow,
+            packet: f.packet,
+            dst: f.dst,
+            is_head: f.is_head(),
+        }
+    }
 }
 
 /// One 64-VC word of a router's pipeline predicate masks: bit `b` of word
@@ -170,10 +217,10 @@ pub struct Router {
     /// Receiver-side state machine of each VC; written only by
     /// [`set_state`](Self::set_state).
     vc_state: Vec<VcState>,
-    /// Snapshot of each VC's head flit, refreshed when a VC is absorbed or
-    /// popped, so RC/VA/SA never touch the buffer; written only by
-    /// [`set_head`](Self::set_head).
-    head_cache: Vec<Option<Flit>>,
+    /// Record of each VC's head flit, refreshed when a VC is absorbed or
+    /// popped, so RC/VA/SA never touch the buffer; valid where the head mask
+    /// bit is set and written only by [`set_head`](Self::set_head).
+    head_cache: Vec<HeadRecord>,
     /// Predicate masks over the VCs, one word per 64 VCs.
     pub(crate) masks: Vec<VcMasks>,
     pub(crate) egress: Vec<EgressPort>,
@@ -258,6 +305,10 @@ impl Router {
         let ejection_port = egress.len() - 1;
 
         let total_vcs = vcs.len();
+        assert!(
+            egress.len() <= usize::from(u16::MAX) && cfg.vcs_per_port <= usize::from(u16::MAX),
+            "{node}: port and VC counts must fit the packed VC state"
+        );
         Self {
             node,
             cfg,
@@ -268,7 +319,7 @@ impl Router {
             vcs,
             vc_port,
             vc_state: vec![VcState::Idle; total_vcs],
-            head_cache: vec![None; total_vcs],
+            head_cache: vec![HeadRecord::EMPTY; total_vcs],
             masks: vec![VcMasks::default(); total_vcs.div_ceil(64)],
             egress,
             egress_nodes,
@@ -466,34 +517,48 @@ impl Router {
         }
     }
 
-    /// The cached head flit of VC `vc` (ignoring its visibility stamp).
+    /// The cached head record of VC `vc` (ignoring its visibility stamp);
+    /// meaningful only while the VC's head mask bit is set.
     #[inline]
-    pub(crate) fn head(&self, vc: usize) -> Option<&Flit> {
-        self.head_cache[vc].as_ref()
+    pub(crate) fn head(&self, vc: usize) -> &HeadRecord {
+        &self.head_cache[vc]
     }
 
-    /// Sets the cached head flit of VC `vc`, keeping the head mask exact.
+    /// The cached head record of VC `vc`, or `None` if its head mask bit is
+    /// clear.
+    pub(crate) fn cached_head(&self, vc: usize) -> Option<&HeadRecord> {
+        (self.masks[vc >> 6].head & (1 << (vc & 63)) != 0).then(|| &self.head_cache[vc])
+    }
+
+    /// Sets (or, with `None`, clears) the cached head of VC `vc`, keeping
+    /// the head mask exact.
     #[inline]
     pub(crate) fn set_head(&mut self, vc: usize, head: Option<Flit>) {
         let bit = 1u64 << (vc & 63);
         let m = &mut self.masks[vc >> 6];
-        if head.is_some() {
-            m.head |= bit;
-        } else {
-            m.head &= !bit;
+        match head {
+            Some(f) => {
+                m.head |= bit;
+                self.head_cache[vc] = HeadRecord::of(&f);
+            }
+            None => m.head &= !bit,
         }
-        self.head_cache[vc] = head;
     }
 
-    /// The predicate masks recomputed from scratch from the VC states and
-    /// the head cache; [`masks`](Self::masks) must always equal this.
+    /// The predicate masks with the state bits recomputed from scratch from
+    /// the VC states (head bits are kept: presence of a head record *is* its
+    /// mask bit); [`masks`](Self::masks) must always equal this.
     pub(crate) fn derived_masks(&self) -> Vec<VcMasks> {
-        let mut out = vec![VcMasks::default(); self.masks.len()];
-        for (vc, (state, head)) in self.vc_state.iter().zip(&self.head_cache).enumerate() {
+        let mut out: Vec<VcMasks> = self
+            .masks
+            .iter()
+            .map(|m| VcMasks {
+                head: m.head,
+                ..VcMasks::default()
+            })
+            .collect();
+        for (vc, state) in self.vc_state.iter().enumerate() {
             let (m, bit) = (&mut out[vc >> 6], 1u64 << (vc & 63));
-            if head.is_some() {
-                m.head |= bit;
-            }
             match state {
                 VcState::Idle => {}
                 VcState::Routed { .. } => m.routed |= bit,
@@ -511,7 +576,7 @@ fn vc_state_snapshot(e: &mut Enc, s: &VcState) {
             e.u8(0);
         }
         VcState::Routed { egress, next_flow } => {
-            e.u8(1).u32(egress as u32);
+            e.u8(1).u32(egress.into());
             codec::encode_flow(e, next_flow);
         }
         VcState::Active {
@@ -519,7 +584,7 @@ fn vc_state_snapshot(e: &mut Enc, s: &VcState) {
             out_vc,
             next_flow,
         } => {
-            e.u8(2).u32(egress as u32).u32(out_vc as u32);
+            e.u8(2).u32(egress.into()).u32(out_vc.into());
             codec::encode_flow(e, next_flow);
         }
         VcState::Dropping => {
@@ -528,18 +593,40 @@ fn vc_state_snapshot(e: &mut Enc, s: &VcState) {
     }
 }
 
-fn vc_state_restore(d: &mut Dec) -> std::io::Result<VcState> {
+/// Decodes one VC state, rejecting an egress port or downstream VC that
+/// does not exist on a router with `egress_vcs[p]` downstream VCs on egress
+/// port `p` (and so could not be packed or indexed).
+fn vc_state_restore(d: &mut Dec, egress_vcs: &[usize]) -> std::io::Result<VcState> {
+    let egress = |d: &mut Dec| -> std::io::Result<u16> {
+        let p = d.u32()?;
+        match u16::try_from(p) {
+            Ok(p16) if usize::from(p16) < egress_vcs.len() => Ok(p16),
+            _ => Err(corrupt(&format!("VC state names egress port {p}"))),
+        }
+    };
     Ok(match d.u8()? {
         0 => VcState::Idle,
         1 => VcState::Routed {
-            egress: d.u32()? as usize,
+            egress: egress(d)?,
             next_flow: codec::decode_flow(d)?,
         },
-        2 => VcState::Active {
-            egress: d.u32()? as usize,
-            out_vc: d.u32()? as usize,
-            next_flow: codec::decode_flow(d)?,
-        },
+        2 => {
+            let egress = egress(d)?;
+            let v = d.u32()?;
+            let out_vc = match u16::try_from(v) {
+                Ok(v16) if usize::from(v16) < egress_vcs[usize::from(egress)] => v16,
+                _ => {
+                    return Err(corrupt(&format!(
+                        "VC state names VC {v} of egress port {egress}"
+                    )))
+                }
+            };
+            VcState::Active {
+                egress,
+                out_vc,
+                next_flow: codec::decode_flow(d)?,
+            }
+        }
         3 => VcState::Dropping,
         t => return Err(corrupt(&format!("bad VC state tag {t}"))),
     })
@@ -564,10 +651,10 @@ fn decode_flits(d: &mut Dec) -> std::io::Result<Vec<Flit>> {
 /// every ingress VC buffer (split at its absorb boundary so the restored
 /// cursors land exactly where the originals were), the per-VC receiver state
 /// machines, the sender-side downstream VC allocations and any flits parked
-/// in the local delivery queue. Derived state (head cache, predicate masks,
-/// staged moves) is deliberately excluded: a restore clears the head cache
-/// and rebuilds the masks, and the pipeline sweep compiled afterwards
-/// re-absorbs every VC.
+/// in the local delivery queue. Derived state (head records, predicate
+/// masks, staged moves) is deliberately excluded: a restore clears every
+/// head bit and rebuilds the masks, and the pipeline sweep compiled
+/// afterwards re-absorbs every VC.
 impl Router {
     /// Serializes this router's architectural state. Must be called between
     /// cycles (no staged moves outstanding).
@@ -622,8 +709,10 @@ impl Router {
     /// # Errors
     ///
     /// Fails with `InvalidData` if the checkpoint does not match this
-    /// router's topology (port or VC counts differ) or is corrupt.
+    /// router's topology (port or VC counts differ, or a VC state names an
+    /// egress port or downstream VC the router does not have) or is corrupt.
     pub fn restore(&mut self, d: &mut Dec) -> std::io::Result<()> {
+        let egress_vcs: Vec<usize> = self.egress.iter().map(|p| p.out_state.len()).collect();
         self.cycle = d.u64()?;
         self.stats = codec::decode_stats(d)?;
         if d.u32()? as usize != self.upstream.len() {
@@ -635,7 +724,7 @@ impl Router {
                 return Err(corrupt("ingress VC count mismatch"));
             }
             for vc in lo..hi {
-                self.vc_state[vc] = vc_state_restore(d)?;
+                self.vc_state[vc] = vc_state_restore(d, &egress_vcs)?;
                 let visible = decode_flits(d)?;
                 let pending = decode_flits(d)?;
                 if visible.len() + pending.len() > self.vcs[vc].capacity() {
@@ -663,7 +752,7 @@ impl Router {
             }
         }
         self.delivered = decode_flits(d)?;
-        self.head_cache.fill(None);
+        self.masks.fill(VcMasks::default());
         self.masks = self.derived_masks();
         Ok(())
     }
@@ -735,6 +824,90 @@ mod tests {
             &r.vcs[0]
         ));
         assert!(Arc::ptr_eq(&r.injection_buffers()[0], &r.vcs[40]));
+    }
+
+    #[test]
+    fn hot_per_vc_records_are_compact() {
+        assert_eq!(std::mem::size_of::<VcState>(), 16);
+        assert_eq!(std::mem::size_of::<HeadRecord>(), 32);
+    }
+
+    /// A snapshot whose VC 0 is in `state`, with that state's encoding
+    /// replaced by `replacement` (same length).
+    fn corrupted_snapshot(state: VcState, replacement: impl FnOnce(&mut Enc)) -> Vec<u8> {
+        let mut src = wired_router();
+        src.set_state(0, state);
+        let mut e = Enc::new();
+        src.snapshot(&mut e);
+        let mut bytes = e.into_bytes();
+        let (mut want, mut with) = (Enc::new(), Enc::new());
+        vc_state_snapshot(&mut want, &state);
+        replacement(&mut with);
+        let (want, with) = (want.into_bytes(), with.into_bytes());
+        assert_eq!(want.len(), with.len());
+        let at = bytes
+            .windows(want.len())
+            .position(|w| w == want)
+            .expect("state encoding present");
+        bytes[at..at + want.len()].copy_from_slice(&with);
+        bytes
+    }
+
+    /// Router 0 of a two-node line with its egress toward node 1 wired to
+    /// four downstream VCs.
+    fn wired_router() -> Router {
+        let mut r = router(4);
+        let buffers = (0..4).map(|_| Arc::new(VcBuffer::new(4))).collect();
+        r.connect_egress(NodeId::new(1), buffers);
+        r
+    }
+
+    #[test]
+    fn restore_rejects_vc_states_the_router_cannot_hold() {
+        let flow = FlowId::new(0xfeed_f00d);
+        let active = VcState::Active {
+            egress: 0,
+            out_vc: 3,
+            next_flow: flow,
+        };
+        let routed = VcState::Routed {
+            egress: 1,
+            next_flow: flow,
+        };
+        for state in [active, routed] {
+            let valid = corrupted_snapshot(state, |e| vc_state_snapshot(e, &state));
+            let mut r = wired_router();
+            r.restore(&mut Dec::new(&valid)).expect("valid snapshot");
+            assert_eq!(r.vc_state(0), state);
+        }
+        let active_as = |egress: u32, out_vc: u32| {
+            corrupted_snapshot(active, move |e| {
+                e.u8(2).u32(egress).u32(out_vc);
+                codec::encode_flow(e, flow);
+            })
+        };
+        let routed_as = |egress: u32| {
+            corrupted_snapshot(routed, move |e| {
+                e.u8(1).u32(egress);
+                codec::encode_flow(e, flow);
+            })
+        };
+        // Ports 0 (toward node 1, four VCs) and 1 (ejection, one VC); the
+        // `1 << 16` cases would truncate to a valid index under `as u16`.
+        for (bytes, what) in [
+            (active_as(2, 0), "egress port beyond the router"),
+            (active_as(1 << 16, 3), "egress port wider than u16"),
+            (active_as(0, 4), "downstream VC beyond the port"),
+            (active_as(1, 1), "second VC on the ejection port"),
+            (active_as(0, (1 << 16) + 3), "downstream VC wider than u16"),
+            (routed_as(2), "routed to a missing port"),
+            (routed_as((1 << 16) + 1), "routed port wider than u16"),
+        ] {
+            let err = wired_router()
+                .restore(&mut Dec::new(&bytes))
+                .expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
     }
 
     #[test]

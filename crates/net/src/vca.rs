@@ -191,6 +191,11 @@ impl VcaPolicy {
     /// [`candidates`](Self::candidates) returns them. The router's VA stage
     /// calls this with a reusable scratch vector so the steady-state hot path
     /// never touches the heap.
+    ///
+    /// Every policy guarantees that each candidate is a VC of `downstream`
+    /// whose `free_for_allocation` is set; so when no downstream VC is free
+    /// the result is empty. The VA stage relies on this to skip the call
+    /// (and the downstream snapshot) for an egress whose VCs are all owned.
     pub fn candidates_into(
         &self,
         req: &VcaRequest,
@@ -225,10 +230,11 @@ impl VcaPolicy {
                 } else {
                     lo + per_set
                 };
+                // With fewer VCs than phases the last set may be empty.
                 for d in downstream
                     .iter()
                     .skip(lo)
-                    .take(hi - lo)
+                    .take(hi.saturating_sub(lo))
                     .filter(|d| d.free_for_allocation)
                 {
                     out.push((d.vc, 1.0));
@@ -396,6 +402,83 @@ mod tests {
         // Unlisted tuples fall back to dynamic.
         let c2 = pol.candidates(&req(99), &ds);
         assert_eq!(c2.len(), 4);
+    }
+
+    /// Seeded property check of the contract `candidates_into` documents:
+    /// over random downstream snapshots and requests, every policy (the
+    /// table both with and without an entry for the request) offers only
+    /// VCs free for allocation, and nothing once every VC is owned.
+    #[test]
+    fn every_policy_offers_only_free_vcs() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(0x5ca1ab1e);
+        let flow = |rng: &mut rand_chacha::ChaCha12Rng| {
+            let f = FlowId::new(rng.gen_range(0..4u64));
+            if rng.gen_bool(0.5) {
+                f.with_phase(1)
+            } else {
+                f
+            }
+        };
+        for case in 0..4000 {
+            let n = rng.gen_range(0..=8usize);
+            let mut ds: Vec<DownstreamVc> = (0..n)
+                .map(|i| {
+                    let capacity = rng.gen_range(1..=8usize);
+                    DownstreamVc {
+                        vc: vc(i as u16),
+                        free_for_allocation: rng.gen_bool(0.5),
+                        occupancy: rng.gen_range(0..=capacity),
+                        capacity,
+                        resident_flow: rng.gen_bool(0.5).then(|| flow(&mut rng)),
+                    }
+                })
+                .collect();
+            let r = VcaRequest {
+                prev: NodeId::new(rng.gen_range(0..3u32)),
+                flow: flow(&mut rng),
+                next: NodeId::new(rng.gen_range(0..3u32)),
+                next_flow: flow(&mut rng),
+            };
+            // A table whose entry for `r` lists random VCs (some beyond the
+            // snapshot), and one with no entry for `r`.
+            let mut listed = VcaTable::new();
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let (v, w) = (vc(rng.gen_range(0..10u16)), rng.gen_range(0.1..2.0));
+                listed.add(r.prev, r.flow, r.next, r.next_flow, v, w);
+            }
+            let mut unlisted = VcaTable::new();
+            unlisted.add(r.next, r.flow, r.prev, r.next_flow, vc(0), 1.0);
+            let policies = [
+                VcaPolicy::Dynamic,
+                VcaPolicy::StaticSet,
+                VcaPolicy::Phased {
+                    phases: rng.gen_range(1..=3u8),
+                },
+                VcaPolicy::Edvca,
+                VcaPolicy::Faa,
+                VcaPolicy::Table(Arc::new(listed)),
+                VcaPolicy::Table(Arc::new(unlisted)),
+            ];
+            let mut out = Vec::new();
+            for pol in &policies {
+                pol.candidates_into(&r, &ds, &mut out);
+                for (v, _) in &out {
+                    let d = ds.iter().find(|d| d.vc == *v);
+                    assert!(
+                        d.is_some_and(|d| d.free_for_allocation),
+                        "case {case}: {pol:?} offered {v:?} from {ds:?}"
+                    );
+                }
+            }
+            for d in &mut ds {
+                d.free_for_allocation = false;
+            }
+            for pol in &policies {
+                pol.candidates_into(&r, &ds, &mut out);
+                assert!(out.is_empty(), "case {case}: {pol:?} offered an owned VC");
+            }
+        }
     }
 
     #[test]
