@@ -597,39 +597,32 @@ fn vc_state_snapshot(e: &mut Enc, s: &VcState) {
 /// does not exist on a router with `egress_vcs[p]` downstream VCs on egress
 /// port `p` (and so could not be packed or indexed).
 fn vc_state_restore(d: &mut Dec, egress_vcs: &[usize]) -> std::io::Result<VcState> {
-    let egress = |d: &mut Dec| -> std::io::Result<u16> {
-        let p = d.u32()?;
-        match u16::try_from(p) {
-            Ok(p16) if usize::from(p16) < egress_vcs.len() => Ok(p16),
-            _ => Err(corrupt(&format!("VC state names egress port {p}"))),
-        }
-    };
     Ok(match d.u8()? {
         0 => VcState::Idle,
         1 => VcState::Routed {
-            egress: egress(d)?,
+            egress: index_below(d, egress_vcs.len(), "egress port")?,
             next_flow: codec::decode_flow(d)?,
         },
         2 => {
-            let egress = egress(d)?;
-            let v = d.u32()?;
-            let out_vc = match u16::try_from(v) {
-                Ok(v16) if usize::from(v16) < egress_vcs[usize::from(egress)] => v16,
-                _ => {
-                    return Err(corrupt(&format!(
-                        "VC state names VC {v} of egress port {egress}"
-                    )))
-                }
-            };
+            let egress = index_below(d, egress_vcs.len(), "egress port")?;
             VcState::Active {
                 egress,
-                out_vc,
+                out_vc: index_below(d, egress_vcs[usize::from(egress)], "downstream VC")?,
                 next_flow: codec::decode_flow(d)?,
             }
         }
         3 => VcState::Dropping,
         t => return Err(corrupt(&format!("bad VC state tag {t}"))),
     })
+}
+
+/// Reads a `u32` index that must be below `bound` and fit a `u16`.
+fn index_below(d: &mut Dec, bound: usize, what: &str) -> std::io::Result<u16> {
+    let i = d.u32()?;
+    u16::try_from(i)
+        .ok()
+        .filter(|&i| usize::from(i) < bound)
+        .ok_or_else(|| corrupt(&format!("VC state names {what} {i} (of {bound})")))
 }
 
 fn corrupt(what: &str) -> std::io::Error {
