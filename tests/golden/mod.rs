@@ -190,6 +190,18 @@ pub fn cases() -> Vec<GoldenCase> {
         GoldenCase::synthetic(12, 11, R::Xy, V::Dynamic, P::UniformRandom, 0.15, 601)
             .named("saturated"),
     );
+    // 35 tiles (two full kernel tile blocks plus three) on narrow, fast
+    // channels: one-flit VCs flip between zero and one credit every hop,
+    // and two-flit links let SA try two grants into one downstream VC in a
+    // cycle (its staged count must refuse the second).
+    let mut narrow =
+        GoldenCase::synthetic(7, 5, R::Xy, V::Dynamic, P::UniformRandom, 0.3, 701).named("narrow");
+    narrow.spec.vcs_per_port = 2;
+    narrow.spec.vc_capacity = 1;
+    narrow.spec.injection_vcs = 1;
+    narrow.spec.injection_vc_capacity = 2;
+    narrow.spec.link_bandwidth = 2;
+    out.push(narrow);
     out.push(GoldenCase {
         name: "3x3-vsum".into(),
         spec: DistSpec {
