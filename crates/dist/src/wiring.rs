@@ -158,14 +158,18 @@ pub fn build_shards(
         }
         let group = &channels[i..j];
         let (s_src, s_dst) = (group[0].src_shard, group[0].dst_shard);
-        let targets = nodes[dst.index()]
-            .router()
-            .ingress_buffers_from(src)
-            .to_vec();
+        let target = nodes[dst.index()].router();
+        let targets = target.ingress_buffers_from(src);
         assert_eq!(targets.len(), group.len(), "VC count mismatch on cut link");
         let links: Vec<Arc<BoundaryLink>> = targets
+            .clone()
+            .map(|vc| BoundaryLink::with_resident(target.vc_capacity(vc), target.vc_occupancy(vc)))
+            .collect();
+        let tile = partition.local_index(dst);
+        let receivers: Vec<BoundaryRx> = links
             .iter()
-            .map(|t| BoundaryLink::with_resident(t.capacity(), t.occupancy()))
+            .zip(targets)
+            .map(|(link, vc)| BoundaryRx::new(Arc::clone(link), tile, vc, target))
             .collect();
         let egress: Vec<EgressChannel> = links
             .iter()
@@ -190,13 +194,8 @@ pub fn build_shards(
         {
             let p = &mut parts[s_dst];
             let nb = neighbor_entry(&mut p.neighbors, s_src);
-            nb.in_links.extend(links.iter().cloned());
-            p.inbound.extend(
-                links
-                    .into_iter()
-                    .zip(targets)
-                    .map(|(link, target)| BoundaryRx::new(link, target)),
-            );
+            nb.in_links.extend(links);
+            p.inbound.extend(receivers);
         }
         i = j;
     }

@@ -3,10 +3,10 @@
 //!
 //! When the sharded runtime (the `hornet-shard` crate) partitions the tiles of
 //! a network across worker threads, every link whose endpoints land in
-//! different shards — a *cut link* — is rewired. The downstream ingress
-//! [`VcBuffer`]s stay entirely shard-local (only the owning worker touches
-//! them); in their place the upstream router's egress port is given a
-//! [`BoundaryLink`] per virtual channel:
+//! different shards — a *cut link* — is rewired. The downstream ingress VC
+//! buffers stay entirely shard-local (they belong to their router, which
+//! only the owning worker touches); in their place the upstream router's
+//! egress port is given a [`BoundaryLink`] per virtual channel:
 //!
 //! * **flits** travel through a fixed-capacity lock-free SPSC ring
 //!   ([`Spsc`]), written by the sender's negative clock edge and drained by
@@ -29,13 +29,19 @@
 //! all times; a ring sized to the VC capacity can therefore never overflow,
 //! and a drained flit always fits in the downstream buffer.
 //!
-//! [`EgressChannel`] is the small enum that lets a router's egress port face
-//! either a local shared [`VcBuffer`] (sequential and intra-shard links) or a
-//! [`BoundaryLink`] (cut links) with identical credit semantics.
+//! [`EgressChannel`] is what a router's egress port faces, per downstream
+//! VC: either a *local* channel, which names the downstream (node, VC) in
+//! the same pipeline sweep, or a [`BoundaryLink`] (cut links). Local
+//! channels hold no handle to the buffer: the sweep resolves the name into
+//! its flat push-target table when it is compiled, keeps the sender's
+//! credit count for it, and applies pushes through the owning router (see
+//! [`kernel`](crate::kernel)). A boundary channel keeps its own credit
+//! count (`free_space()` above), so both see identical credit semantics.
 
 use crate::flit::Flit;
-use crate::ids::Cycle;
-use crate::vcbuf::VcBuffer;
+use crate::ids::{Cycle, NodeId};
+use crate::router::Router;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -260,17 +266,20 @@ impl BoundaryLink {
 }
 
 /// The receiver-side endpoint of one boundary link: drains the flit mailbox
-/// into the real (shard-local) ingress [`VcBuffer`] and emits credits for the
-/// flits the router has consumed. Owned by exactly one worker at a time.
+/// into the real (shard-local) ingress VC — VC `vc` of the router of tile
+/// `tile`, an index into the owning shard's tile slice — and emits credits
+/// for the flits that router has consumed. Owned by exactly one worker at a
+/// time, which lends it the target router for each call.
 #[derive(Debug)]
 pub struct BoundaryRx {
     link: Arc<BoundaryLink>,
-    target: Arc<VcBuffer>,
-    /// Flits resident in `target` when the link was wired (their pops must
-    /// produce credits too, since they are part of the sender's initial
+    tile: usize,
+    vc: usize,
+    /// Flits resident in the target VC when the link was wired (their pops
+    /// must produce credits too, since they are part of the sender's initial
     /// `outstanding`).
     baseline: u64,
-    /// Flits moved from the mailbox into `target` so far.
+    /// Flits moved from the mailbox into the target VC so far.
     forwarded: u64,
     /// Credits successfully enqueued so far.
     credited: u64,
@@ -279,24 +288,30 @@ pub struct BoundaryRx {
 }
 
 impl BoundaryRx {
-    /// Creates the receiver endpoint draining `link` into `target`. The
-    /// buffer's current occupancy becomes the credit baseline and must match
-    /// the `resident` count the link was created with.
-    pub fn new(link: Arc<BoundaryLink>, target: Arc<VcBuffer>) -> Self {
-        let baseline = target.occupancy() as u64;
+    /// Creates the receiver endpoint draining `link` into ingress VC `vc` of
+    /// `router`, the router of the shard's tile number `tile`. The VC's
+    /// current occupancy becomes the credit baseline and must match the
+    /// `resident` count the link was created with.
+    pub fn new(link: Arc<BoundaryLink>, tile: usize, vc: usize, router: &Router) -> Self {
         Self {
             link,
-            target,
-            baseline,
+            tile,
+            vc,
+            baseline: router.vc_occupancy(vc) as u64,
             forwarded: 0,
             credited: 0,
             pending: 0,
         }
     }
 
-    /// The downstream ingress buffer this endpoint feeds.
-    pub fn target(&self) -> &Arc<VcBuffer> {
-        &self.target
+    /// The shard-local tile whose router this endpoint feeds.
+    pub fn tile(&self) -> usize {
+        self.tile
+    }
+
+    /// The ingress VC this endpoint feeds.
+    pub fn vc(&self) -> usize {
+        self.vc
     }
 
     /// Flits still in flight in the mailbox.
@@ -316,19 +331,21 @@ impl BoundaryRx {
         &self.link
     }
 
-    /// Moves mailbox flits into the ingress buffer. With `limit = Some(c)`
-    /// only flits whose `visible_at ≤ c` are moved (flit stamps are
-    /// nondecreasing, so this consumes exactly the prefix the sequential
-    /// schedule would have delivered by cycle `c`); with `None` everything in
-    /// the ring is moved. Returns the number of flits delivered.
-    pub fn deliver(&mut self, limit: Option<Cycle>) -> usize {
+    /// Moves mailbox flits into the target VC of `router` (the router of
+    /// [`tile`](Self::tile)). With `limit = Some(c)` only flits whose
+    /// `visible_at ≤ c` are moved (flit stamps are nondecreasing, so this
+    /// consumes exactly the prefix the sequential schedule would have
+    /// delivered by cycle `c`); with `None` everything in the ring is moved.
+    /// Returns the number of flits delivered.
+    pub fn deliver(&mut self, router: &mut Router, limit: Option<Cycle>) -> usize {
+        let vcs = &mut router.vcs;
         let mut moved = 0usize;
         while let Some(flit) = self
             .link
             .flits
-            .pop_if(|f| limit.is_none_or(|c| f.visible_at <= c) && self.target.free_space() > 0)
+            .pop_if(|f| limit.is_none_or(|c| f.visible_at <= c) && vcs.free_space(self.vc) > 0)
         {
-            let ok = self.target.push(flit);
+            let ok = vcs.push(self.vc, flit);
             debug_assert!(ok, "boundary delivery overflowed the ingress buffer");
             self.forwarded += 1;
             moved += 1;
@@ -336,11 +353,11 @@ impl BoundaryRx {
         moved
     }
 
-    /// Emits one cycle-stamped credit message covering every flit the router
-    /// has popped from the ingress buffer since the last emission. Called
-    /// after the shard's negative edge of cycle `now`.
-    pub fn emit_credits(&mut self, now: Cycle) {
-        let resident = self.target.occupancy() as u64;
+    /// Emits one cycle-stamped credit message covering every flit `router`
+    /// has popped from the target VC since the last emission. Called after
+    /// the shard's negative edge of cycle `now`.
+    pub fn emit_credits(&mut self, router: &Router, now: Cycle) {
+        let resident = router.vc_occupancy(self.vc) as u64;
         let freed = (self.baseline + self.forwarded).saturating_sub(resident);
         self.pending += freed.saturating_sub(self.credited + self.pending);
         if self.pending > 0 {
@@ -371,71 +388,71 @@ impl BoundaryRx {
         self.baseline += owed;
     }
 
-    /// Checkpoint restore: re-reads the credit baseline from the ingress
-    /// buffer's current occupancy. Endpoints are wired before the tile
-    /// restore repopulates the buffers, so the baseline captured at
-    /// construction is stale; call this afterwards, before
-    /// [`restore_owed`](Self::restore_owed).
-    pub fn reset_baseline(&mut self) {
+    /// Checkpoint restore: re-reads the credit baseline from the target VC
+    /// of `router`. Endpoints are wired before the tile restore repopulates
+    /// the buffers, so the baseline captured at construction is stale; call
+    /// this afterwards, before [`restore_owed`](Self::restore_owed).
+    pub fn reset_baseline(&mut self, router: &Router) {
         debug_assert_eq!(self.forwarded, 0, "reset_baseline on a used endpoint");
-        self.baseline = self.target.occupancy() as u64;
+        self.baseline = router.vc_occupancy(self.vc) as u64;
     }
 
-    /// Drains every remaining mailbox flit into the ingress buffer (used when
-    /// unwiring boundaries at the end of a parallel run; the credit invariant
-    /// guarantees everything fits).
-    pub fn flush(mut self) {
-        self.deliver(None);
+    /// Drains every remaining mailbox flit into the target VC of `router`
+    /// (used when unwiring boundaries at the end of a parallel run; the
+    /// credit invariant guarantees everything fits).
+    pub fn flush(mut self, router: &mut Router) {
+        self.deliver(router, None);
         debug_assert!(self.link.flits.is_empty(), "boundary flush left flits");
     }
 }
 
-/// What a router egress port pushes into: a shared downstream [`VcBuffer`]
-/// (sequential and intra-shard links) or a cross-shard [`BoundaryLink`].
-/// Both expose the same credit interface, so the router pipeline is agnostic.
+/// What a router egress port pushes into, per downstream VC: a local
+/// ingress VC in the same pipeline sweep (sequential and intra-shard links)
+/// or a cross-shard [`BoundaryLink`]. The sweep keeps the credit count of
+/// local channels (see [`kernel`](crate::kernel)); a boundary link keeps its
+/// own.
 #[derive(Clone, Debug)]
 pub enum EgressChannel {
-    /// Directly shared downstream ingress buffer.
-    Local(Arc<VcBuffer>),
+    /// Ingress VC `vc` of the router of `node`, holding `capacity` flits.
+    Local {
+        /// The downstream node.
+        node: NodeId,
+        /// The downstream router's VC number.
+        vc: u32,
+        /// The downstream VC's capacity, in flits.
+        capacity: u32,
+    },
     /// Cross-shard boundary mailbox.
     Boundary(Arc<BoundaryLink>),
 }
 
 impl EgressChannel {
+    /// Local channels into VCs `vcs` (of `capacity` flits each) of the
+    /// router of `node`.
+    pub fn locals(node: NodeId, vcs: Range<usize>, capacity: usize) -> Vec<Self> {
+        vcs.map(|vc| EgressChannel::Local {
+            node,
+            vc: vc as u32,
+            capacity: capacity as u32,
+        })
+        .collect()
+    }
+
     /// Downstream VC capacity, in flits.
     #[inline]
     pub fn capacity(&self) -> usize {
         match self {
-            EgressChannel::Local(b) => b.capacity(),
+            EgressChannel::Local { capacity, .. } => *capacity as usize,
             EgressChannel::Boundary(l) => l.capacity(),
         }
     }
 
-    /// Downstream occupancy as seen by the sender's credit loop.
+    /// The boundary link, for a cut channel.
     #[inline]
-    pub fn occupancy(&self) -> usize {
+    pub fn boundary(&self) -> Option<&Arc<BoundaryLink>> {
         match self {
-            EgressChannel::Local(b) => b.occupancy(),
-            EgressChannel::Boundary(l) => l.occupancy(),
-        }
-    }
-
-    /// Free space as seen by the sender's credit loop.
-    #[inline]
-    pub fn free_space(&self) -> usize {
-        match self {
-            EgressChannel::Local(b) => b.free_space(),
-            EgressChannel::Boundary(l) => l.free_space(),
-        }
-    }
-
-    /// Sends a flit downstream. `false` indicates a flow-control violation.
-    #[inline]
-    #[must_use]
-    pub fn push(&self, flit: Flit) -> bool {
-        match self {
-            EgressChannel::Local(b) => b.push(flit),
-            EgressChannel::Boundary(l) => l.push(flit),
+            EgressChannel::Local { .. } => None,
+            EgressChannel::Boundary(l) => Some(l),
         }
     }
 }
@@ -444,7 +461,39 @@ impl EgressChannel {
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, FlitStats};
-    use crate::ids::{FlowId, NodeId, PacketId};
+    use crate::geometry::Geometry;
+    use crate::ids::{FlowId, PacketId};
+    use crate::router::RouterConfig;
+    use crate::routing::{build_routing, RoutingKind};
+    use crate::vca::{VcAllocKind, VcaPolicy};
+
+    /// Router 0 of a two-node line whose one VC from node 1 (VC 0) holds
+    /// `capacity` flits, plus a receiver endpoint feeding that VC from a
+    /// fresh link.
+    fn receiver(capacity: usize) -> (Router, Arc<BoundaryLink>, BoundaryRx) {
+        let policies = build_routing(RoutingKind::Xy, &Geometry::line(2), &[]);
+        let router = Router::new(
+            NodeId::new(0),
+            &[NodeId::new(1)],
+            RouterConfig {
+                vcs_per_port: 1,
+                vc_capacity: capacity,
+                ..RouterConfig::default()
+            },
+            policies[0].clone(),
+            VcaPolicy::from_kind(VcAllocKind::Dynamic),
+        );
+        assert_eq!(router.ingress_buffers_from(NodeId::new(1)), 0..1);
+        let link = BoundaryLink::new(capacity);
+        let rx = BoundaryRx::new(Arc::clone(&link), 0, 0, &router);
+        (router, link, rx)
+    }
+
+    /// The router consumes the head flit of VC 0.
+    fn consume(router: &mut Router) {
+        router.vcs.absorb(0);
+        assert!(router.vcs.pop(0, u64::MAX).is_some());
+    }
 
     fn flit(seq: u32, visible_at: Cycle) -> Flit {
         Flit {
@@ -516,9 +565,7 @@ mod tests {
 
     #[test]
     fn boundary_credit_loop_round_trips() {
-        let link = BoundaryLink::new(2);
-        let target = Arc::new(VcBuffer::new(2));
-        let mut rx = BoundaryRx::new(Arc::clone(&link), Arc::clone(&target));
+        let (mut router, link, mut rx) = receiver(2);
 
         // Sender fills its credit window.
         assert!(link.push(flit(0, 1)));
@@ -528,17 +575,16 @@ mod tests {
         assert_eq!(link.in_flight(), 2);
 
         // Receiver drains the mailbox into the real buffer.
-        assert_eq!(rx.deliver(Some(1)), 2);
-        assert_eq!(target.occupancy(), 2);
+        assert_eq!(rx.deliver(&mut router, Some(1)), 2);
+        assert_eq!(router.vc_occupancy(0), 2);
         // Nothing popped yet: no credits flow, sender still blocked.
-        rx.emit_credits(1);
+        rx.emit_credits(&router, 1);
         link.apply_credits(Some(1));
         assert_eq!(link.free_space(), 0);
 
         // The router consumes one flit; the credit returns.
-        target.absorb_tail();
-        assert!(target.pop_if(5, |_| true).is_some());
-        rx.emit_credits(2);
+        consume(&mut router);
+        rx.emit_credits(&router, 2);
         link.apply_credits(Some(2));
         assert_eq!(link.free_space(), 1);
         assert!(link.push(flit(2, 3)));
@@ -546,29 +592,24 @@ mod tests {
 
     #[test]
     fn strict_delivery_respects_cycle_stamps() {
-        let link = BoundaryLink::new(4);
-        let target = Arc::new(VcBuffer::new(4));
-        let mut rx = BoundaryRx::new(Arc::clone(&link), Arc::clone(&target));
+        let (mut router, link, mut rx) = receiver(4);
         assert!(link.push(flit(0, 3)));
         assert!(link.push(flit(1, 5)));
         // At cycle 3 only the first flit is due.
-        assert_eq!(rx.deliver(Some(3)), 1);
+        assert_eq!(rx.deliver(&mut router, Some(3)), 1);
         assert_eq!(link.in_flight(), 1);
         // At cycle 5 the rest follows.
-        assert_eq!(rx.deliver(Some(5)), 1);
+        assert_eq!(rx.deliver(&mut router, Some(5)), 1);
         assert_eq!(link.in_flight(), 0);
     }
 
     #[test]
     fn strict_credit_application_respects_cycle_stamps() {
-        let link = BoundaryLink::new(4);
-        let target = Arc::new(VcBuffer::new(4));
-        let mut rx = BoundaryRx::new(Arc::clone(&link), Arc::clone(&target));
+        let (mut router, link, mut rx) = receiver(4);
         assert!(link.push(flit(0, 1)));
-        rx.deliver(None);
-        target.absorb_tail();
-        assert!(target.pop_if(9, |_| true).is_some());
-        rx.emit_credits(7);
+        rx.deliver(&mut router, None);
+        consume(&mut router);
+        rx.emit_credits(&router, 7);
         // The credit is stamped cycle 7: invisible at 6, visible at 7.
         link.apply_credits(Some(6));
         assert_eq!(link.occupancy(), 1);
@@ -578,13 +619,12 @@ mod tests {
 
     #[test]
     fn flush_moves_every_leftover_flit() {
-        let link = BoundaryLink::new(3);
-        let target = Arc::new(VcBuffer::new(3));
-        let rx = BoundaryRx::new(Arc::clone(&link), Arc::clone(&target));
+        let (mut router, link, rx) = receiver(3);
         assert!(link.push(flit(0, 100)));
         assert!(link.push(flit(1, 200)));
-        rx.flush();
+        rx.flush(&mut router);
         assert_eq!(link.in_flight(), 0);
-        assert_eq!(target.occupancy(), 2);
+        assert_eq!(router.vc_occupancy(0), 2);
+        assert_eq!(router.buffered_flits(), 2);
     }
 }

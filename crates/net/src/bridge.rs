@@ -11,7 +11,7 @@ use crate::flit::{DeliveredPacket, Flit, Packet};
 use crate::ids::{Cycle, NodeId, PacketId};
 use crate::payload::PayloadStore;
 use crate::stats::NetworkStats;
-use crate::vcbuf::VcBuffer;
+use crate::vcbuf::VcRings;
 use hornet_obs::trace::{TraceEvent, TraceKind, TraceRing};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -50,8 +50,6 @@ struct InjectionSlot {
 #[derive(Debug)]
 pub struct Bridge {
     node: NodeId,
-    /// Injection VC buffers of the local router.
-    injection_vcs: Vec<Arc<VcBuffer>>,
     /// Flits per cycle the bridge may push toward the router.
     injection_bandwidth: u32,
     /// Packets waiting to enter the network.
@@ -77,12 +75,12 @@ pub struct Bridge {
 }
 
 impl Bridge {
-    /// Creates a bridge for `node` wired to the given injection VC buffers.
-    pub fn new(node: NodeId, injection_vcs: Vec<Arc<VcBuffer>>, injection_bandwidth: u32) -> Self {
-        let slots = (0..injection_vcs.len()).map(|_| None).collect();
+    /// Creates a bridge for `node` whose router has `injection_vcs`
+    /// injection VCs (the router lends them to [`inject`](Self::inject)).
+    pub fn new(node: NodeId, injection_vcs: usize, injection_bandwidth: u32) -> Self {
+        let slots = (0..injection_vcs).map(|_| None).collect();
         Self {
             node,
-            injection_vcs,
             injection_bandwidth: injection_bandwidth.max(1),
             pending: VecDeque::new(),
             slots,
@@ -157,11 +155,18 @@ impl Bridge {
     }
 
     /// Injection step, run during the tile's negative edge: move flits from
-    /// the pending queue into the router's injection VC buffers, respecting
-    /// buffer capacity, wormhole ordering (one packet per VC at a time) and
-    /// the injection bandwidth.
-    pub fn inject(&mut self, now: Cycle, stats: &mut NetworkStats) {
-        self.inject_traced(now, stats, None);
+    /// the pending queue into the router's injection VCs — VCs `first_vc..`
+    /// of its rings `vcs`, one per injection slot — respecting buffer
+    /// capacity, wormhole ordering (one packet per VC at a time) and the
+    /// injection bandwidth.
+    pub fn inject(
+        &mut self,
+        now: Cycle,
+        vcs: &mut VcRings,
+        first_vc: usize,
+        stats: &mut NetworkStats,
+    ) {
+        self.inject_traced(now, vcs, first_vc, stats, None);
     }
 
     /// [`inject`](Self::inject) with an optional event tracer: records a
@@ -171,6 +176,8 @@ impl Bridge {
     pub fn inject_traced(
         &mut self,
         now: Cycle,
+        vcs: &mut VcRings,
+        first_vc: usize,
         stats: &mut NetworkStats,
         mut tracer: Option<&mut TraceRing>,
     ) {
@@ -212,10 +219,9 @@ impl Bridge {
                 flit.visible_at = now + 1;
                 flit.stats.injected_at = now;
                 flit.stats.arrived_at_current = now;
-                // `push` performs its own credit check (it reserves occupancy
-                // before enqueueing), so no separate free_space() pre-check is
-                // needed.
-                if self.injection_vcs[vc].push(flit) {
+                // `push` performs its own capacity check, so no separate
+                // free_space() pre-check is needed.
+                if vcs.push(first_vc + vc, flit) {
                     slot.flits.pop_front();
                     stats.injected_flits += 1;
                     budget -= 1;
@@ -454,9 +460,9 @@ mod tests {
     use crate::flit::Payload;
     use crate::ids::FlowId;
 
-    fn bridge_with_vcs(n: usize, capacity: usize) -> Bridge {
-        let vcs = (0..n).map(|_| Arc::new(VcBuffer::new(capacity))).collect();
-        Bridge::new(NodeId::new(0), vcs, 1)
+    fn bridge_with_vcs(n: usize, capacity: usize) -> (Bridge, VcRings) {
+        let vcs = VcRings::with_capacities(vec![capacity; n]);
+        (Bridge::new(NodeId::new(0), n, 1), vcs)
     }
 
     fn packet(id: u64, len: u32) -> Packet {
@@ -472,8 +478,8 @@ mod tests {
 
     #[test]
     fn packet_ids_are_unique_and_node_scoped() {
-        let mut b0 = bridge_with_vcs(1, 4);
-        let mut b1 = Bridge::new(NodeId::new(1), vec![Arc::new(VcBuffer::new(4))], 1);
+        let (mut b0, _) = bridge_with_vcs(1, 4);
+        let mut b1 = Bridge::new(NodeId::new(1), 1, 1);
         let ids: Vec<_> = (0..10)
             .map(|_| b0.alloc_packet_id())
             .chain((0..10).map(|_| b1.alloc_packet_id()))
@@ -484,24 +490,24 @@ mod tests {
 
     #[test]
     fn injection_respects_bandwidth_and_capacity() {
-        let mut b = bridge_with_vcs(1, 2);
+        let (mut b, mut vcs) = bridge_with_vcs(1, 2);
         let mut stats = NetworkStats::new();
         b.send(packet(1, 4));
         assert_eq!(b.pending_packets(), 1);
-        b.inject(0, &mut stats);
+        b.inject(0, &mut vcs, 0, &mut stats);
         // Bandwidth 1: only one flit entered this cycle.
         assert_eq!(stats.injected_flits, 1);
-        b.inject(1, &mut stats);
+        b.inject(1, &mut vcs, 0, &mut stats);
         assert_eq!(stats.injected_flits, 2);
         // Buffer is now full (capacity 2); further injection stalls.
-        b.inject(2, &mut stats);
+        b.inject(2, &mut vcs, 0, &mut stats);
         assert_eq!(stats.injected_flits, 2);
         assert!(!b.injection_idle());
     }
 
     #[test]
     fn reassembly_delivers_complete_packets_only() {
-        let mut b = bridge_with_vcs(1, 4);
+        let (mut b, _) = bridge_with_vcs(1, 4);
         let mut stats = NetworkStats::new();
         let p = packet(7, 3);
         let flits = p.to_flits(0);
@@ -517,7 +523,7 @@ mod tests {
 
     #[test]
     fn payloads_survive_when_registered() {
-        let mut b = bridge_with_vcs(1, 4);
+        let (mut b, _) = bridge_with_vcs(1, 4);
         let mut stats = NetworkStats::new();
         let p = packet(9, 2).with_payload(Payload::from_words(&[0xdead, 0xbeef]));
         b.register_inbound_payload(p.clone());
@@ -529,17 +535,16 @@ mod tests {
 
     #[test]
     fn multi_vc_bridge_interleaves_packets() {
-        let mut b = Bridge::new(
-            NodeId::new(0),
-            vec![Arc::new(VcBuffer::new(8)), Arc::new(VcBuffer::new(8))],
-            4,
-        );
+        let mut b = Bridge::new(NodeId::new(0), 2, 4);
+        // The router's injection VCs follow two other VCs.
+        let mut vcs = VcRings::with_capacities([1, 1, 8, 8]);
         let mut stats = NetworkStats::new();
         b.send(packet(1, 2));
         b.send(packet(2, 2));
-        b.inject(0, &mut stats);
+        b.inject(0, &mut vcs, 2, &mut stats);
         // Both packets got a slot; with bandwidth 4 all four flits entered.
         assert_eq!(stats.injected_flits, 4);
+        assert_eq!((vcs.occupancy(2), vcs.occupancy(3)), (2, 2));
         assert!(b.injection_idle());
         assert_eq!(b.next_injection_event(), None);
     }

@@ -37,33 +37,60 @@
 //! properties make the sweep cheap:
 //!
 //! * **Quiet tiles cost O(1).** A tile with no buffered flit skips absorb,
-//!   SA, VA and RC entirely (one aggregate atomic load + clearing any stale
-//!   head bits). Per-cycle cost scales with *activity*, not with fabric
-//!   size.
+//!   SA, VA and RC entirely (one load of the router's buffered count +
+//!   clearing any stale head bits). Per-cycle cost scales with *activity*,
+//!   not with fabric size.
 //! * **Untouched VCs cost nothing.** A VC is re-absorbed only when something
 //!   pushed into it since the previous positive edge: a downstream push from
 //!   a neighbour tile (tracked through a frozen egress → VC table), a bridge
 //!   injection, or a boundary delivery
 //!   ([`note_external_push`](MeshKernel::note_external_push)).
+//! * **Credit checks stay in the sweep.** SA never reads a neighbour's
+//!   buffer (see *Credits* below).
 //! * **Blocked packets ask nobody.** VA skips the downstream snapshot and
 //!   the allocation policy when every downstream VC of the requested egress
 //!   is owned: every policy offers only free VCs, so the answer is known to
 //!   be empty (and draws no random number). The attempt still counts as an
 //!   arbitration.
 //!
-//! The sweep holds only the cross-tile parts: the dirty-push masks, the
-//! per-block busy list, the stage timers and the shared per-stage scratch.
-//! VC state, head records, masks, staged moves, statistics and the clock
-//! stay on the routers, so snapshot/restore, telemetry and the ledger read
-//! the tiles directly.
+//! The sweep holds only the cross-tile parts: the push-target and credit
+//! tables, the dirty-push masks, the per-block busy list, the stage timers
+//! and the shared per-stage scratch. VC buffers, VC state, head records,
+//! masks, staged moves, statistics and the clock stay on the routers, so
+//! snapshot/restore, telemetry and the ledger read the tiles directly.
+//!
+//! **Pushes.** Each ingress VC buffer belongs to its router alone. A local
+//! egress channel names its downstream (node, VC); compiling the sweep
+//! resolves that name into `egress_target`, one (tile, VC) entry per channel
+//! slot, and panics if the target is not one of the swept tiles. A tile's
+//! router half stages its pushes in a small outbox, and the sweep applies
+//! them to the downstream routers by index as soon as that router half
+//! ends — exactly where the pushes used to land — so two routers are never
+//! borrowed at once.
+//!
+//! **Credits.** Beside `egress_target` the sweep keeps `credit`, the
+//! downstream free space of every local egress channel, as the sender sees
+//! it. It is derived at compile time from the downstream occupancy (so a
+//! restore or a re-wiring needs nothing new), decremented when the channel
+//! is pushed, and incremented when the downstream router pops the VC, through
+//! the VC's `credit_return` slot. SA's credit check, VA's downstream
+//! snapshot and adaptive RC's free-space choice read it instead of the
+//! neighbour's buffer, which at 1024 tiles sits in another tile block and
+//! so usually outside the cache. Boundary channels keep their link's own
+//! count. The count is exact, not a lagging estimate: a local VC's
+//! occupancy changes only through pushes from its one upstream channel and
+//! pops by its router, both at the negative edge, and each updates the
+//! credit in the same step — so at every positive edge `credit` equals
+//! capacity minus occupancy, which is what the credit check read before.
+//! Debug builds assert that equality at every positive edge.
 //!
 //! **Exactness.** Running stages tile-by-tile within a block, and blocks one
 //! after another, computes exactly what a stage-major sweep over all tiles
 //! computes:
 //!
-//! * the cross-tile reads of the positive edge (downstream occupancy and
-//!   free space, link bandwidth) are phase-stable — buffers and link demand
-//!   change only at the negative edge;
+//! * the cross-tile reads of the positive edge (credits, link bandwidth)
+//!   are phase-stable — credits and link demand change only at the negative
+//!   edge;
 //! * each tile keeps its own RNG draw order (SA, VA, RC, agents), and tiles
 //!   keep their relative order within every stage;
 //! * agents touch only their own tile's bridge (`NodeIo`);
@@ -75,21 +102,20 @@
 //!
 //! Debug builds assert the sweep's invariants after every edge: each
 //! router's state masks equal the masks derived from its VC states, every
-//! cached head record equals its buffer's absorbed head, and no VC left
-//! un-dirtied has anything to absorb.
+//! cached head record equals its buffer's absorbed head, no VC left
+//! un-dirtied has anything to absorb, and every credit equals its
+//! downstream free space.
 
-use crate::boundary::EgressChannel;
+use crate::boundary::{BoundaryLink, EgressChannel};
+use crate::flit::Flit;
 use crate::ids::{Cycle, FlowId, VcId};
 use crate::network::NetworkNode;
 use crate::router::{pick_weighted, HeadRecord, Router, StagedMove, VcState};
 use crate::routing::NextHop;
 use crate::vca::{DownstreamVc, VcaRequest};
-use crate::vcbuf::VcBuffer;
 use hornet_obs::trace::{TraceEvent, TraceKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Selects nothing: there is one router pipeline. Kept only so the
@@ -137,10 +163,39 @@ struct SaCandidate {
     next_flow: FlowId,
 }
 
-/// Packs a dirty-mask location: global word index and bit within it.
+/// `egress_target` entry of a channel slot that pushes into no local VC
+/// (ejection, boundary or padding).
+const NO_TARGET: u64 = u64::MAX;
+
+/// `credit` entry of a boundary channel: its link keeps the count.
+const BOUNDARY: u32 = u32::MAX;
+
+/// `credit_return` entry of a VC no local channel feeds (injection VCs and
+/// the targets of cut links).
+const NO_RETURN: u32 = u32::MAX;
+
+/// Packs a push target: tile index and the VC number on its router.
 #[inline]
-fn pack_loc(word: usize, bit: usize) -> u64 {
-    ((word as u64) << 6) | bit as u64
+fn pack_target(tile: usize, vc: usize) -> u64 {
+    ((tile as u64) << 32) | vc as u64
+}
+
+/// Unpacks [`pack_target`].
+#[inline]
+fn unpack_target(target: u64) -> (usize, usize) {
+    (
+        (target >> 32) as usize,
+        (target & u64::from(u32::MAX)) as usize,
+    )
+}
+
+/// The boundary link of egress channel `out_vc` of port `egress`, which the
+/// credit table marks as cut.
+#[inline]
+fn boundary_link(r: &Router, egress: usize, out_vc: usize) -> &BoundaryLink {
+    r.egress[egress].buffers[out_vc]
+        .boundary()
+        .expect("credit table marks a local channel as cut")
 }
 
 /// The router pipeline over one tile set (see the module docs).
@@ -149,9 +204,9 @@ pub struct MeshKernel {
     /// `tiles + 1`); tile `t`'s word `w` covers its VC numbers
     /// `64 * w .. 64 * w + 63`, like the router's own masks.
     tile_words: Vec<u32>,
-    /// `Arc::as_ptr` of every ingress VC buffer → packed dirty location, for
-    /// out-of-band pushes ([`note_external_push`](Self::note_external_push)).
-    by_ptr: HashMap<usize, u64>,
+    /// First flat VC index of each tile, plus the total (length
+    /// `tiles + 1`): VC `vc` of tile `t` is flat VC `tile_vcs[t] + vc`.
+    tile_vcs: Vec<u32>,
     /// Bits covering each tile's injection-port VCs (bridge injections).
     inj_mask: Vec<u64>,
     /// VCs that received a push since the last positive edge and need their
@@ -173,14 +228,25 @@ pub struct MeshKernel {
     /// Stride of the staged and downstream tables (widest egress port
     /// across all tiles).
     stride: usize,
-    /// Packed dirty location of the ingress VC each local egress channel
-    /// feeds, indexed `tile * egress_stride + egress * stride + out_vc`
-    /// (`u64::MAX` for ejection and boundary channels). Topology is static,
-    /// so resolving push targets through this flat table replaces a
-    /// per-move hash lookup on the negative edge.
+    /// Push target (packed tile and VC) of each local egress channel,
+    /// indexed by *channel slot* `tile * egress_stride + egress * stride +
+    /// out_vc` ([`NO_TARGET`] for ejection and boundary channels). Topology
+    /// is static, so the negative edge resolves pushes through this flat
+    /// table.
     egress_target: Vec<u64>,
-    /// Row length of `egress_target` per tile (`max_egress * stride`).
+    /// Sender-side credit of each channel slot: the free space of the
+    /// downstream VC of a local channel, or [`BOUNDARY`] (see the module
+    /// docs).
+    credit: Vec<u32>,
+    /// Channel slot of the local egress channel feeding each flat ingress
+    /// VC, whose credit a pop of that VC returns ([`NO_RETURN`] if none).
+    credit_return: Vec<u32>,
+    /// Row length of the channel-slot tables per tile (`max_egress *
+    /// stride`).
     egress_stride: usize,
+    /// Pushes staged by the router half of the tile being swept, as
+    /// `(egress_target entry, flit)`; applied as soon as that half ends.
+    outbox: Vec<(u64, Flit)>,
     /// Per-egress downstream snapshots built by VA, valid for the tile
     /// currently in VA while `downstream_stamp[egress] == downstream_gen`.
     downstream_scratch: Vec<DownstreamVc>,
@@ -196,7 +262,7 @@ impl std::fmt::Debug for MeshKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MeshKernel")
             .field("tiles", &(self.tile_words.len().saturating_sub(1)))
-            .field("vcs", &self.by_ptr.len())
+            .field("vcs", &self.tile_vcs.last().copied().unwrap_or(0))
             .finish()
     }
 }
@@ -206,25 +272,32 @@ impl MeshKernel {
     ///
     /// Compiling is cheap — O(total VCs) — and may be repeated freely, e.g.
     /// after a snapshot restore: every VC starts dirty, so the first positive
-    /// edge re-absorbs everything.
+    /// edge re-absorbs everything, and every credit is read afresh from its
+    /// downstream occupancy.
     ///
     /// # Panics
     ///
-    /// Panics if a local egress channel of some tile feeds a buffer outside
-    /// `nodes`: such pushes would escape the dirty tracking. The network
-    /// builder and the sharded runtimes never produce one (cut links become
-    /// boundary channels).
+    /// Panics if a local egress channel of some tile feeds a router outside
+    /// `nodes` (the sweep could not apply its pushes), or if two local
+    /// channels feed one VC. The network builder and the sharded runtimes
+    /// never produce either (cut links become boundary channels).
     pub fn compile(nodes: &[NetworkNode], timing: bool) -> Self {
         let tiles = nodes.len();
         let mut tile_words = Vec::with_capacity(tiles + 1);
-        let mut by_ptr = HashMap::new();
+        let mut tile_vcs = Vec::with_capacity(tiles + 1);
         let mut inj_mask = Vec::new();
         let mut dirty = Vec::new();
         let (mut max_ingress, mut max_egress, mut stride) = (0usize, 0usize, 1usize);
-        for node in nodes {
+        let span = nodes.iter().map(|n| n.node.index() + 1).max().unwrap_or(0);
+        let mut tile_of = vec![usize::MAX; span];
+        let mut total_vcs = 0usize;
+        for (t, node) in nodes.iter().enumerate() {
             let r = &node.router;
+            tile_of[node.node.index()] = t;
             let base = dirty.len();
             tile_words.push(base as u32);
+            tile_vcs.push(total_vcs as u32);
+            total_vcs += r.vcs.vc_count();
             dirty.resize(base + r.masks.len(), 0u64);
             inj_mask.resize(base + r.masks.len(), 0u64);
             max_ingress = max_ingress.max(r.upstream.len());
@@ -232,9 +305,8 @@ impl MeshKernel {
             for e in &r.egress {
                 stride = stride.max(e.buffers.len());
             }
-            for (vc, buf) in r.vcs.iter().enumerate() {
+            for vc in 0..r.vcs.vc_count() {
                 let (word, bit) = (base + vc / 64, vc % 64);
-                by_ptr.insert(Arc::as_ptr(buf) as usize, pack_loc(word, bit));
                 dirty[word] |= 1 << bit;
                 if r.vc_port[vc] as usize == r.injection_port {
                     inj_mask[word] |= 1 << bit;
@@ -242,29 +314,43 @@ impl MeshKernel {
             }
         }
         tile_words.push(dirty.len() as u32);
+        tile_vcs.push(u32::try_from(total_vcs).expect("VC count fits u32"));
 
         let egress_stride = max_egress * stride;
-        let mut egress_target = vec![u64::MAX; tiles * egress_stride];
+        let slots = tiles * egress_stride;
+        assert!(slots < NO_RETURN as usize, "channel slots fit u32");
+        let mut egress_target = vec![NO_TARGET; slots];
+        let mut credit = vec![BOUNDARY; slots];
+        let mut credit_return = vec![NO_RETURN; total_vcs];
         for (t, node) in nodes.iter().enumerate() {
             for (p, e) in node.router.egress.iter().enumerate() {
                 for (v, ch) in e.buffers.iter().enumerate() {
-                    if let EgressChannel::Local(buf) = ch {
-                        let packed =
-                            *by_ptr.get(&(Arc::as_ptr(buf) as usize)).unwrap_or_else(|| {
-                                panic!(
-                                    "{}: local egress channel feeds a tile outside the sweep",
-                                    node.node
-                                )
-                            });
-                        egress_target[t * egress_stride + p * stride + v] = packed;
-                    }
+                    let EgressChannel::Local { node: down, vc, .. } = *ch else {
+                        continue;
+                    };
+                    let target = tile_of
+                        .get(down.index())
+                        .copied()
+                        .filter(|&d| d != usize::MAX)
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "{}: local egress channel feeds a tile outside the sweep",
+                                node.node
+                            )
+                        });
+                    let (slot, vc) = (t * egress_stride + p * stride + v, vc as usize);
+                    egress_target[slot] = pack_target(target, vc);
+                    credit[slot] = nodes[target].router.vcs.free_space(vc) as u32;
+                    let ret = &mut credit_return[tile_vcs[target] as usize + vc];
+                    assert_eq!(*ret, NO_RETURN, "{down}: two channels feed VC {vc}");
+                    *ret = slot as u32;
                 }
             }
         }
 
         Self {
             tile_words,
-            by_ptr,
+            tile_vcs,
             inj_mask,
             dirty,
             busy: Vec::with_capacity(TILE_BLOCK),
@@ -276,7 +362,10 @@ impl MeshKernel {
             staged_gen: 0,
             stride,
             egress_target,
+            credit,
+            credit_return,
             egress_stride,
+            outbox: Vec::new(),
             downstream_scratch: vec![
                 DownstreamVc {
                     vc: VcId::new(0),
@@ -301,18 +390,36 @@ impl MeshKernel {
         self.times
     }
 
-    /// Marks the target VC of an out-of-band push (e.g. a boundary delivery
-    /// from another shard) dirty so the next positive edge re-absorbs it.
-    /// Buffers outside the sweep are ignored.
-    pub fn note_external_push(&mut self, buf: &Arc<VcBuffer>) {
-        if let Some(&packed) = self.by_ptr.get(&(Arc::as_ptr(buf) as usize)) {
-            self.mark_dirty(packed);
+    /// Marks VC `vc` of tile `tile` (an index into the swept tiles) dirty
+    /// after an out-of-band push, e.g. a boundary delivery from another
+    /// shard, so the next positive edge re-absorbs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is not one of the swept tiles.
+    #[inline]
+    pub fn note_external_push(&mut self, tile: usize, vc: usize) {
+        self.dirty[self.tile_words[tile] as usize + vc / 64] |= 1 << (vc % 64);
+    }
+
+    /// The downstream free space of channel slot `slot` of router `r`
+    /// (egress port `egress`, downstream VC `out_vc`).
+    #[inline]
+    fn free_space(&self, r: &Router, slot: usize, egress: usize, out_vc: usize) -> usize {
+        match self.credit[slot] {
+            BOUNDARY => boundary_link(r, egress, out_vc).free_space(),
+            free => free as usize,
         }
     }
 
+    /// Returns one credit to the channel feeding flat ingress VC `flat_vc`,
+    /// which its router just popped.
     #[inline]
-    fn mark_dirty(&mut self, packed: u64) {
-        self.dirty[(packed >> 6) as usize] |= 1 << (packed & 63);
+    fn return_credit(&mut self, flat_vc: usize) {
+        let slot = self.credit_return[flat_vc];
+        if slot != NO_RETURN {
+            self.credit[slot as usize] += 1;
+        }
     }
 
     /// Positive clock edge for every tile, one block of `TILE_BLOCK`
@@ -327,6 +434,7 @@ impl MeshKernel {
         debug_assert_eq!(nodes.len() + 1, self.tile_words.len(), "tile set changed");
         if cfg!(debug_assertions) {
             self.assert_nothing_undirtied_to_absorb(nodes);
+            self.assert_credits_exact(nodes);
         }
         for (b, block) in nodes.chunks_mut(TILE_BLOCK).enumerate() {
             self.posedge_block(block, b * TILE_BLOCK, now);
@@ -379,14 +487,13 @@ impl MeshKernel {
                 while cursor_only != 0 {
                     let vc = w * 64 + cursor_only.trailing_zeros() as usize;
                     cursor_only &= cursor_only - 1;
-                    absorbed += r.vcs[vc].absorb_tail() as u64;
+                    absorbed += r.vcs.absorb(vc) as u64;
                 }
                 while m != 0 {
                     let vc = w * 64 + m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let (n, head) = r.vcs[vc].absorb_and_peek();
-                    absorbed += n as u64;
-                    r.set_head(vc, head);
+                    absorbed += r.vcs.absorb(vc) as u64;
+                    r.refresh_head(vc);
                 }
             }
             r.stats.activity.buffer_writes += absorbed;
@@ -401,15 +508,22 @@ impl MeshKernel {
         // the module docs); the within-tile SA → VA → RC order is preserved.
         let busy = std::mem::take(&mut self.busy);
         for &i in &busy {
-            self.sa_tile(&mut block[i as usize], now);
+            self.sa_tile(&mut block[i as usize], first + i as usize, now);
         }
         lap = self.lap(lap, |s| &mut s.times.sa);
         for &i in &busy {
-            self.va_tile(&mut block[i as usize], now);
+            self.va_tile(&mut block[i as usize], first + i as usize, now);
         }
         lap = self.lap(lap, |s| &mut s.times.va);
         for &i in &busy {
-            rc_tile(&mut block[i as usize], &mut self.route_scratch, now);
+            let row = (first + i as usize) * self.egress_stride;
+            rc_tile(
+                &mut block[i as usize],
+                &mut self.route_scratch,
+                &self.credit[row..row + self.egress_stride],
+                self.stride,
+                now,
+            );
         }
         self.busy = busy;
         self.lap(lap, |s| &mut s.times.rc);
@@ -423,23 +537,25 @@ impl MeshKernel {
 
     /// Negative clock edge for every tile, one block of `TILE_BLOCK`
     /// tiles at a time: apply the block's staged moves and drops and publish
-    /// link demand, then run the block's bridge transfers. A block's bridges
-    /// may run before later blocks' router halves because a tile's bridge
-    /// only touches its own delivery queue and injection buffers, which no
-    /// other tile's router half reads.
+    /// link demand, then run the block's bridge transfers. Each tile's
+    /// pushes reach the downstream routers right after its own router half.
+    /// A block's bridges may run before later blocks' router halves because
+    /// a tile's bridge only touches its own delivery queue and injection
+    /// buffers, which no other tile's router half reads.
     pub fn negedge(&mut self, nodes: &mut [NetworkNode], now: Cycle) {
-        for (b, block) in nodes.chunks_mut(TILE_BLOCK).enumerate() {
-            let first = b * TILE_BLOCK;
+        for first in (0..nodes.len()).step_by(TILE_BLOCK) {
+            let block = first..nodes.len().min(first + TILE_BLOCK);
             let mut lap = self.timing.then(Instant::now);
-            for (i, node) in block.iter_mut().enumerate() {
-                self.negedge_router(&mut node.router, first + i, now);
+            for t in block.clone() {
+                self.negedge_router(&mut nodes[t].router, t, now);
+                self.apply_outbox(nodes);
             }
             lap = self.lap(lap, |s| &mut s.times.negedge);
-            for (i, node) in block.iter_mut().enumerate() {
+            for t in block {
+                let node = &mut nodes[t];
                 let before = node.router.stats.injected_flits;
                 node.negedge_bridge(now);
                 if node.router.stats.injected_flits != before {
-                    let t = first + i;
                     let words = self.tile_words[t] as usize..self.tile_words[t + 1] as usize;
                     for w in words {
                         self.dirty[w] |= self.inj_mask[w];
@@ -470,8 +586,9 @@ impl MeshKernel {
     /// tie-breaking) and grants them under the ingress, egress and
     /// downstream-credit limits. Grants land in the router's `staged` /
     /// `staged_drops`.
-    fn sa_tile(&mut self, node: &mut NetworkNode, now: Cycle) {
+    fn sa_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
         let r = &mut node.router;
+        let row = t * self.egress_stride;
         let mut cand = std::mem::take(&mut self.sa_cand);
         cand.clear();
         for w in 0..r.masks.len() {
@@ -532,7 +649,7 @@ impl MeshKernel {
                 0
             };
             if c.egress != r.ejection_port
-                && r.egress[c.egress].buffers[c.out_vc].free_space() <= already as usize
+                && self.free_space(r, row + key, c.egress, c.out_vc) <= already as usize
             {
                 continue; // no downstream credit
             }
@@ -552,11 +669,12 @@ impl MeshKernel {
 
     /// VC allocation for one tile: every Routed VC with a visible head asks
     /// its VCA policy for a downstream VC on its egress port.
-    fn va_tile(&mut self, node: &mut NetworkNode, now: Cycle) {
+    fn va_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
         let r = &mut node.router;
+        let row = t * self.egress_stride;
         let mut cand = std::mem::take(&mut self.vca_scratch);
         // Downstream snapshots are stable for the whole positive edge
-        // (buffers move only at the negative edge) except for the
+        // (credits move only at the negative edge) except for the
         // `out_state` assignments this very loop makes — so build each
         // egress port's snapshot at most once per tile per cycle and
         // invalidate it only when a VC on that port is granted.
@@ -602,14 +720,18 @@ impl MeshKernel {
                 let downstream = &mut self.downstream_scratch[lo..lo + e.buffers.len()];
                 if self.downstream_stamp[egress] != self.downstream_gen {
                     self.downstream_stamp[egress] = self.downstream_gen;
-                    for (i, (slot, buf)) in downstream.iter_mut().zip(&e.buffers).enumerate() {
-                        let occupancy = buf.occupancy();
+                    let credits = &self.credit[row + lo..row + lo + e.buffers.len()];
+                    for (i, (slot, ch)) in downstream.iter_mut().zip(&e.buffers).enumerate() {
+                        let occupancy = match credits[i] {
+                            BOUNDARY => boundary_link(r, egress, i).occupancy(),
+                            free => ch.capacity() - free as usize,
+                        };
                         let out = &e.out_state[i];
                         *slot = DownstreamVc {
                             vc: VcId::new(i as u16),
                             free_for_allocation: out.owner.is_none(),
                             occupancy,
-                            capacity: buf.capacity(),
+                            capacity: ch.capacity(),
                             resident_flow: if occupancy > 0 || out.owner.is_some() {
                                 out.resident_flow
                             } else {
@@ -648,19 +770,22 @@ impl MeshKernel {
     }
 
     /// The router half of one tile's negative edge: pop the granted flits
-    /// and push them downstream (or into the local delivery queue), release
-    /// VC allocations behind tail flits, discard the staged drops, and
-    /// publish demand on bandwidth-adaptive links for the next cycle.
+    /// (returning their credits) and stage them for the downstream routers
+    /// (or push them into a boundary link or the local delivery queue),
+    /// release VC allocations behind tail flits, discard the staged drops,
+    /// and publish demand on bandwidth-adaptive links for the next cycle.
     fn negedge_router(&mut self, r: &mut Router, t: usize, now: Cycle) {
+        let row = t * self.egress_stride;
+        let vc_base = self.tile_vcs[t] as usize;
         for i in 0..r.staged.len() {
             let m = r.staged[i];
-            let Some(mut flit) = r.vcs[m.vc].pop_if(now, |_| true) else {
+            let Some(mut flit) = r.vcs.pop(m.vc, now) else {
                 continue;
             };
+            self.return_credit(vc_base + m.vc);
             // Refresh the cached head in place: the successor flit (if any)
             // is already absorbed, so no positive-edge re-peek is needed.
-            let head = r.vcs[m.vc].head_snapshot();
-            r.set_head(m.vc, head);
+            r.refresh_head(m.vc);
             r.stats.activity.buffer_reads += 1;
             r.stats.activity.crossbar_transits += 1;
 
@@ -680,13 +805,17 @@ impl MeshKernel {
             } else {
                 flit.stats.hops += 1;
                 r.stats.activity.link_flits += 1;
-                if r.egress[m.egress].buffers[m.out_vc].push(flit) {
-                    let packed = self.egress_target
-                        [t * self.egress_stride + m.egress * self.stride + m.out_vc];
-                    if packed != u64::MAX {
-                        self.mark_dirty(packed);
+                let slot = row + m.egress * self.stride + m.out_vc;
+                let sent = match self.credit[slot] {
+                    BOUNDARY => boundary_link(r, m.egress, m.out_vc).push(flit),
+                    0 => false,
+                    free => {
+                        self.credit[slot] = free - 1;
+                        self.outbox.push((self.egress_target[slot], flit));
+                        true
                     }
-                } else {
+                };
+                if !sent {
                     // Credit checking should make this impossible; record it
                     // as a routing failure so tests can detect flow-control
                     // bugs rather than silently losing flits.
@@ -705,9 +834,9 @@ impl MeshKernel {
         // Discard flits of packets that could not be routed.
         for i in 0..r.staged_drops.len() {
             let vc = r.staged_drops[i];
-            if let Some(flit) = r.vcs[vc].pop_if(now, |_| true) {
-                let head = r.vcs[vc].head_snapshot();
-                r.set_head(vc, head);
+            if let Some(flit) = r.vcs.pop(vc, now) {
+                self.return_credit(vc_base + vc);
+                r.refresh_head(vc);
                 r.stats.activity.buffer_reads += 1;
                 if flit.is_tail() {
                     r.set_state(vc, VcState::Idle);
@@ -717,26 +846,47 @@ impl MeshKernel {
         r.staged_drops.clear();
 
         // Publish demand on bandwidth-adaptive links for the next cycle: the
-        // Active VCs bound for the link that still hold a flit.
-        for (e, port) in r.egress.iter().enumerate() {
-            let Some((link, dir)) = &port.bidir else {
-                continue;
-            };
-            let mut demand = 0u32;
-            for (w, mw) in r.masks.iter().enumerate() {
-                let mut m = mw.active;
-                while m != 0 {
-                    let vc = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if matches!(r.vc_state(vc), VcState::Active { egress, .. } if usize::from(egress) == e)
-                        && r.vcs[vc].occupancy() > 0
-                    {
-                        demand += 1;
+        // Active VCs bound for the link that still hold a flit. Static links
+        // have no bit in the port mask and cost nothing here.
+        for (pw, &ports) in r.bidir_ports().iter().enumerate() {
+            let mut ports = ports;
+            while ports != 0 {
+                let e = pw * 64 + ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let Some((link, dir)) = &r.egress[e].bidir else {
+                    unreachable!("bidir port mask out of sync with its links");
+                };
+                let mut demand = 0u32;
+                for (w, mw) in r.masks.iter().enumerate() {
+                    let mut m = mw.active;
+                    while m != 0 {
+                        let vc = w * 64 + m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        if matches!(r.vc_state(vc), VcState::Active { egress, .. } if usize::from(egress) == e)
+                            && r.vcs.occupancy(vc) > 0
+                        {
+                            demand += 1;
+                        }
                     }
                 }
+                link.publish_demand(*dir, demand);
             }
-            link.publish_demand(*dir, demand);
         }
+    }
+
+    /// Applies the pushes the last router half staged to their downstream
+    /// routers and marks the target VCs dirty.
+    fn apply_outbox(&mut self, nodes: &mut [NetworkNode]) {
+        for &(target, flit) in &self.outbox {
+            let (tile, vc) = unpack_target(target);
+            assert!(
+                nodes[tile].router.vcs.push(vc, flit),
+                "{}: a credited push found VC {vc} full",
+                nodes[tile].node
+            );
+            self.dirty[self.tile_words[tile] as usize + vc / 64] |= 1 << (vc % 64);
+        }
+        self.outbox.clear();
     }
 
     /// Debug check: a VC whose dirty bit is clear has nothing beyond its
@@ -744,22 +894,51 @@ impl MeshKernel {
     fn assert_nothing_undirtied_to_absorb(&self, nodes: &[NetworkNode]) {
         for (t, node) in nodes.iter().enumerate() {
             let lo = self.tile_words[t] as usize;
-            for (vc, buf) in node.router.vcs.iter().enumerate() {
+            for vc in 0..node.router.vcs.vc_count() {
                 let dirty = self.dirty[lo + vc / 64] & (1 << (vc % 64)) != 0;
                 assert!(
-                    dirty || buf.unabsorbed() == 0,
+                    dirty || node.router.vcs.unabsorbed(vc) == 0,
                     "{}: VC {vc} received a push the sweep was not told about",
                     node.node
                 );
             }
         }
     }
+
+    /// Debug check: the credit of every local egress channel equals the
+    /// free space of the downstream VC it feeds.
+    fn assert_credits_exact(&self, nodes: &[NetworkNode]) {
+        for (slot, &target) in self.egress_target.iter().enumerate() {
+            if target == NO_TARGET {
+                continue;
+            }
+            let (tile, vc) = unpack_target(target);
+            let (t, rest) = (slot / self.egress_stride, slot % self.egress_stride);
+            assert_eq!(
+                self.credit[slot] as usize,
+                nodes[tile].router.vcs.free_space(vc),
+                "{}: credit of egress {} VC {} differs from the free space of {} VC {vc}",
+                nodes[t].node,
+                rest / self.stride,
+                rest % self.stride,
+                nodes[tile].node
+            );
+        }
+    }
 }
 
 /// Route computation for one tile: every idle VC with a visible head flit
 /// is bound to an egress port (a body flit at the head of an idle VC, or a
-/// destination without a route, starts a drop instead).
-fn rc_tile(node: &mut NetworkNode, cand: &mut Vec<NextHop>, now: Cycle) {
+/// destination without a route, starts a drop instead). `credits` is the
+/// tile's row of the sweep's credit table (`stride`
+/// channel slots per egress port).
+fn rc_tile(
+    node: &mut NetworkNode,
+    cand: &mut Vec<NextHop>,
+    credits: &[u32],
+    stride: usize,
+    now: Cycle,
+) {
     let NetworkNode {
         router: r,
         rng,
@@ -797,7 +976,7 @@ fn rc_tile(node: &mut NetworkNode, cand: &mut Vec<NextHop>, now: Cycle) {
                 continue;
             }
             let choice = if r.routing.is_adaptive() && cand.len() > 1 {
-                most_free_space(r, rng, cand)
+                most_free_space(r, credits, stride, rng, cand)
             } else {
                 pick_weighted(rng, cand, |c| c.weight)
             };
@@ -829,18 +1008,29 @@ fn rc_tile(node: &mut NetworkNode, cand: &mut Vec<NextHop>, now: Cycle) {
 
 /// Adaptive routing's choice: the candidate with the most free space in its
 /// downstream buffers (ejection counts as unbounded), ties broken by one
-/// random draw per candidate.
-fn most_free_space(r: &Router, rng: &mut impl Rng, cand: &[NextHop]) -> NextHop {
+/// random draw per candidate. Free space comes from the tile's `credits`
+/// row (see [`rc_tile`]).
+fn most_free_space(
+    r: &Router,
+    credits: &[u32],
+    stride: usize,
+    rng: &mut impl Rng,
+    cand: &[NextHop],
+) -> NextHop {
     let mut best_idx = 0usize;
     let mut best_key = (u64::MIN, 0u64);
     for (i, c) in cand.iter().enumerate() {
         let free: u64 = if c.next_node == r.node {
             u64::MAX
         } else {
-            r.egress[r.egress_of(c.next_node)]
-                .buffers
-                .iter()
-                .map(|b| b.free_space() as u64)
+            let e = r.egress_of(c.next_node);
+            let row = &credits[e * stride..e * stride + r.egress[e].buffers.len()];
+            row.iter()
+                .enumerate()
+                .map(|(v, &credit)| match credit {
+                    BOUNDARY => boundary_link(r, e, v).free_space() as u64,
+                    free => u64::from(free),
+                })
                 .sum()
         };
         let tiebreak = rng.gen::<u64>();
@@ -870,10 +1060,10 @@ fn assert_masks_exact(nodes: &[NetworkNode]) {
 fn assert_heads_absorbed(nodes: &[NetworkNode]) {
     for node in nodes {
         let r = &node.router;
-        for (vc, buf) in r.vcs.iter().enumerate() {
+        for vc in 0..r.vcs.vc_count() {
             assert_eq!(
                 r.cached_head(vc).copied(),
-                buf.head_snapshot().as_ref().map(HeadRecord::of),
+                r.vcs.head(vc).map(HeadRecord::of),
                 "{}: stale cached head on VC {vc}",
                 node.node
             );

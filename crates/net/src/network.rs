@@ -173,8 +173,16 @@ impl NetworkNode {
             }
             self.bridge.accept(delivered, now, stats);
         }
-        self.bridge
-            .inject_traced(now, self.router.stats_mut(), self.tracer.as_deref_mut());
+        // Lend the bridge the router's injection rings.
+        let first = self.router.injection_buffers().start;
+        let r = &mut self.router;
+        self.bridge.inject_traced(
+            now,
+            &mut r.vcs,
+            first,
+            &mut r.stats,
+            self.tracer.as_deref_mut(),
+        );
     }
 
     /// True if the tile has no buffered flits and nothing queued for
@@ -351,13 +359,13 @@ impl Network {
             })
             .collect();
 
-        // Wire every egress port to the downstream ingress buffers.
+        // Wire every egress port to the downstream ingress VCs.
         for conn in geometry.connections() {
             let (a, b) = (conn.a, conn.b);
-            let a_to_b = routers[b.index()].ingress_buffers_from(a).to_vec();
-            let b_to_a = routers[a.index()].ingress_buffers_from(b).to_vec();
-            routers[a.index()].connect_egress(b, a_to_b);
-            routers[b.index()].connect_egress(a, b_to_a);
+            let a_to_b = routers[b.index()].ingress_buffers_from(a);
+            let b_to_a = routers[a.index()].ingress_buffers_from(b);
+            routers[a.index()].connect_egress(b, a_to_b, config.vc_capacity);
+            routers[b.index()].connect_egress(a, b_to_a, config.vc_capacity);
             if config.bidirectional_links {
                 let link = Arc::new(BidirLink::new(config.link_bandwidth));
                 routers[a.index()].attach_bidir_link(b, Arc::clone(&link), 0);
@@ -371,7 +379,7 @@ impl Network {
                 let node = router.node();
                 let mut bridge = Bridge::new(
                     node,
-                    router.injection_buffers().to_vec(),
+                    router.injection_buffers().len(),
                     config.link_bandwidth,
                 );
                 bridge.attach_payload_store(Arc::clone(&payload_store));

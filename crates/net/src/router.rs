@@ -44,14 +44,20 @@
 //! are derived state: snapshots exclude them and a restore clears every
 //! head bit and rebuilds the state bits.
 //!
+//! The ingress VC buffers themselves are the router's own [`VcRings`]: one
+//! contiguous flit array plus a small cursor record per VC. No other object
+//! holds a handle to them; upstream routers, the bridge and boundary
+//! receivers name a buffer by (tile, VC) and reach it through this router.
+//!
 //! # Hot-path discipline
 //!
-//! A steady-state simulated cycle performs **no heap allocation** and **no
-//! lock acquisitions**: every VC buffer is a lock-free single-producer /
-//! single-consumer ring ([`VcBuffer`]), so absorbing, peeking and popping
-//! are a handful of atomic loads and stores, and the router-wide idle check
-//! reads one aggregate atomic ([`buffered_flits`] is O(1), feeding the
-//! engine's idle / fast-forward boundary checks).
+//! A steady-state simulated cycle performs **no heap allocation**, **no lock
+//! acquisition** and **no atomic operation** on router state: absorbing,
+//! peeking and popping are plain loads and stores on the router's own
+//! rings, and the router-wide idle check reads one plain count
+//! ([`buffered_flits`] is O(1), feeding the engine's idle / fast-forward
+//! boundary checks). Static links never touch the bandwidth-adaptive link
+//! machinery: a per-router bitmask of adaptive egress ports gates it.
 //!
 //! [`buffered_flits`]: Router::buffered_flits
 
@@ -63,9 +69,9 @@ use crate::link::BidirLink;
 use crate::routing::RoutingPolicy;
 use crate::stats::NetworkStats;
 use crate::vca::VcaPolicy;
-use crate::vcbuf::VcBuffer;
+use crate::vcbuf::VcRings;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Structural parameters of one router.
@@ -174,9 +180,9 @@ pub(crate) struct OutVcState {
     pub(crate) resident_flow: Option<FlowId>,
 }
 
-/// One egress port: the downstream channels (shared ingress buffers, or
-/// boundary mailboxes when the link is cut between two shards) plus
-/// sender-side allocation state.
+/// One egress port: the downstream channels (ingress VCs of the neighbour
+/// router, or boundary mailboxes when the link is cut between two shards)
+/// plus sender-side allocation state.
 #[derive(Debug)]
 pub(crate) struct EgressPort {
     pub(crate) downstream: NodeId,
@@ -210,8 +216,9 @@ pub struct Router {
     /// First VC number of each ingress port, plus the total VC count.
     ingress_offsets: Vec<usize>,
     // --- per-VC state, indexed by VC number (see the module docs) ---
-    /// Ingress VC buffers (shared with the upstream router or bridge).
-    pub(crate) vcs: Vec<Arc<VcBuffer>>,
+    /// Ingress VC buffers; written by the upstream router, the bridge or a
+    /// boundary receiver, each reaching them through this router.
+    pub(crate) vcs: VcRings,
     /// Ingress port of each VC.
     pub(crate) vc_port: Vec<u32>,
     /// Receiver-side state machine of each VC; written only by
@@ -224,6 +231,9 @@ pub struct Router {
     /// Predicate masks over the VCs, one word per 64 VCs.
     pub(crate) masks: Vec<VcMasks>,
     pub(crate) egress: Vec<EgressPort>,
+    /// Egress ports with a bandwidth-adaptive link, one bit per port, 64
+    /// ports per word (all zero with static links).
+    bidir_ports: Vec<u64>,
     /// Downstream node of each egress port, packed flat for the egress
     /// lookup: routers have at most a handful of ports, so a linear scan of
     /// this compact array beats both a HashMap (hashing, allocation) and a
@@ -233,10 +243,6 @@ pub struct Router {
     pub(crate) injection_port: usize,
     /// Index of the local ejection egress port.
     pub(crate) ejection_port: usize,
-    /// Total flits resident in this router's ingress buffers; every ingress
-    /// `VcBuffer` reports into it, making [`buffered_flits`](Self::buffered_flits)
-    /// and the engine's idle checks O(1).
-    buffered: Arc<AtomicUsize>,
     pub(crate) staged: Vec<StagedMove>,
     /// VC numbers whose head flit is discarded at the negative edge.
     pub(crate) staged_drops: Vec<usize>,
@@ -251,9 +257,9 @@ impl Router {
     ///
     /// The router owns its ingress buffers; call
     /// [`ingress_buffers_from`](Self::ingress_buffers_from) on the *neighbour*
-    /// routers and connect them with [`connect_egress`](Self::connect_egress)
-    /// to wire the network together (the [`network`](crate::network) module
-    /// does this automatically).
+    /// routers and connect their VC numbers with
+    /// [`connect_egress`](Self::connect_egress) to wire the network together
+    /// (the [`network`](crate::network) module does this automatically).
     pub fn new(
         node: NodeId,
         neighbors: &[NodeId],
@@ -261,13 +267,12 @@ impl Router {
         routing: RoutingPolicy,
         vca: VcaPolicy,
     ) -> Self {
-        let buffered = Arc::new(AtomicUsize::new(0));
         let mut upstream: Vec<NodeId> = neighbors.to_vec();
         upstream.push(node);
         let injection_port = upstream.len() - 1;
 
         let mut ingress_offsets = vec![0];
-        let mut vcs = Vec::new();
+        let mut vcs = VcRings::default();
         let mut vc_port = Vec::new();
         for p in 0..upstream.len() {
             let (count, capacity) = if p == injection_port {
@@ -276,13 +281,10 @@ impl Router {
                 (cfg.vcs_per_port, cfg.vc_capacity)
             };
             for _ in 0..count {
-                vcs.push(Arc::new(VcBuffer::with_aggregate(
-                    capacity,
-                    Arc::clone(&buffered),
-                )));
+                vcs.add_vc(capacity);
                 vc_port.push(p as u32);
             }
-            ingress_offsets.push(vcs.len());
+            ingress_offsets.push(vcs.vc_count());
         }
 
         let mut egress = Vec::with_capacity(neighbors.len() + 1);
@@ -304,7 +306,7 @@ impl Router {
         });
         let ejection_port = egress.len() - 1;
 
-        let total_vcs = vcs.len();
+        let total_vcs = vcs.vc_count();
         assert!(
             egress.len() <= usize::from(u16::MAX) && cfg.vcs_per_port <= usize::from(u16::MAX),
             "{node}: port and VC counts must fit the packed VC state"
@@ -321,11 +323,11 @@ impl Router {
             vc_state: vec![VcState::Idle; total_vcs],
             head_cache: vec![HeadRecord::EMPTY; total_vcs],
             masks: vec![VcMasks::default(); total_vcs.div_ceil(64)],
+            bidir_ports: vec![0; egress.len().div_ceil(64)],
             egress,
             egress_nodes,
             injection_port,
             ejection_port,
-            buffered,
             staged: Vec::new(),
             staged_drops: Vec::new(),
             delivered: Vec::new(),
@@ -354,22 +356,19 @@ impl Router {
             .unwrap_or_else(|| panic!("{to} is not downstream of {}", self.node))
     }
 
-    /// The VCs of ingress port `port`.
-    fn port_vcs(&self, port: usize) -> &[Arc<VcBuffer>] {
-        &self.vcs[self.ingress_offsets[port]..self.ingress_offsets[port + 1]]
+    /// The VC numbers of ingress port `port`.
+    fn port_vcs(&self, port: usize) -> Range<usize> {
+        self.ingress_offsets[port]..self.ingress_offsets[port + 1]
     }
 
-    /// The ingress VC buffers facing upstream node `from`; the network builder
-    /// hands these to `from`'s router via [`connect_egress`](Self::connect_egress).
-    ///
-    /// Returns a borrowed slice — build and partition paths that only inspect
-    /// the buffers pay no allocation; callers that need owned handles clone
-    /// the individual `Arc`s (or `.to_vec()` the slice).
+    /// The VC numbers of the ingress buffers facing upstream node `from`;
+    /// the network builder hands them to `from`'s router via
+    /// [`connect_egress`](Self::connect_egress).
     ///
     /// # Panics
     ///
     /// Panics if `from` is not a neighbour of this router.
-    pub fn ingress_buffers_from(&self, from: NodeId) -> &[Arc<VcBuffer>] {
+    pub fn ingress_buffers_from(&self, from: NodeId) -> Range<usize> {
         let port = self.upstream[..self.injection_port]
             .iter()
             .position(|&u| u == from)
@@ -377,27 +376,39 @@ impl Router {
         self.port_vcs(port)
     }
 
-    /// The local injection VC buffers (used by the bridge to inject flits).
-    /// Borrowed; clone the `Arc`s for owned handles.
-    pub fn injection_buffers(&self) -> &[Arc<VcBuffer>] {
+    /// The VC numbers of the local injection buffers (the bridge injects
+    /// into them).
+    pub fn injection_buffers(&self) -> Range<usize> {
         self.port_vcs(self.injection_port)
     }
 
-    /// Wires the egress port toward `to` with the downstream ingress buffers
-    /// owned by `to`'s router.
+    /// Capacity of ingress VC `vc`, in flits.
+    pub fn vc_capacity(&self, vc: usize) -> usize {
+        self.vcs.capacity(vc)
+    }
+
+    /// Flits resident in ingress VC `vc` (what its upstream's credit count
+    /// mirrors).
+    pub fn vc_occupancy(&self, vc: usize) -> usize {
+        self.vcs.occupancy(vc)
+    }
+
+    /// Wires the egress port toward `to` with the ingress VCs `vcs` (of
+    /// `capacity` flits each) of `to`'s router, as reported by its
+    /// [`ingress_buffers_from`](Self::ingress_buffers_from).
     ///
     /// # Panics
     ///
     /// Panics if `to` is not a neighbour of this router.
-    pub fn connect_egress(&mut self, to: NodeId, buffers: Vec<Arc<VcBuffer>>) {
+    pub fn connect_egress(&mut self, to: NodeId, vcs: Range<usize>, capacity: usize) {
         let idx = self.egress_of(to);
-        self.egress[idx].out_state = vec![OutVcState::default(); buffers.len()];
-        self.egress[idx].buffers = buffers.into_iter().map(EgressChannel::Local).collect();
+        self.egress[idx].out_state = vec![OutVcState::default(); vcs.len()];
+        self.egress[idx].buffers = EgressChannel::locals(to, vcs, capacity);
     }
 
     /// Swaps the downstream channels of the egress port toward `to`,
     /// returning the previous ones. Used by the sharded runtime to replace
-    /// the shared ingress buffers of a cut link with boundary mailboxes (and
+    /// the local channels of a cut link with boundary mailboxes (and
     /// back). When the channel count is unchanged, the sender-side VC
     /// allocation state (`owner` / `resident_flow`) is preserved, so swapping
     /// mid-simulation does not perturb allocation decisions.
@@ -441,6 +452,14 @@ impl Router {
     pub fn attach_bidir_link(&mut self, to: NodeId, link: Arc<BidirLink>, direction: usize) {
         let idx = self.egress_of(to);
         self.egress[idx].bidir = Some((link, direction));
+        self.bidir_ports[idx >> 6] |= 1 << (idx & 63);
+    }
+
+    /// The egress-port bitmask of bandwidth-adaptive links, one bit per
+    /// port, 64 ports per word.
+    #[inline]
+    pub(crate) fn bidir_ports(&self) -> &[u64] {
+        &self.bidir_ports
     }
 
     /// Immutable access to the per-router statistics.
@@ -455,10 +474,10 @@ impl Router {
     }
 
     /// Number of flits currently buffered in this router's ingress VCs. O(1):
-    /// a single load of the aggregate counter every ingress buffer updates.
+    /// the rings keep one running count.
     #[inline]
     pub fn buffered_flits(&self) -> usize {
-        self.buffered.load(Ordering::Acquire)
+        self.vcs.buffered()
     }
 
     /// True if no flit is buffered here. O(1).
@@ -488,9 +507,12 @@ impl Router {
         if egress == self.ejection_port {
             return self.cfg.ejection_bandwidth;
         }
+        if self.bidir_ports[egress >> 6] & (1 << (egress & 63)) == 0 {
+            return self.cfg.link_bandwidth;
+        }
         match &self.egress[egress].bidir {
             Some((link, dir)) => link.bandwidth_for(*dir),
-            None => self.cfg.link_bandwidth,
+            None => unreachable!("bidir port mask out of sync with its links"),
         }
     }
 
@@ -533,16 +555,23 @@ impl Router {
     /// Sets (or, with `None`, clears) the cached head of VC `vc`, keeping
     /// the head mask exact.
     #[inline]
-    pub(crate) fn set_head(&mut self, vc: usize, head: Option<Flit>) {
+    pub(crate) fn set_head(&mut self, vc: usize, head: Option<HeadRecord>) {
         let bit = 1u64 << (vc & 63);
         let m = &mut self.masks[vc >> 6];
         match head {
-            Some(f) => {
+            Some(record) => {
                 m.head |= bit;
-                self.head_cache[vc] = HeadRecord::of(&f);
+                self.head_cache[vc] = record;
             }
             None => m.head &= !bit,
         }
+    }
+
+    /// Re-reads the cached head of VC `vc` from its ring's absorbed head.
+    #[inline]
+    pub(crate) fn refresh_head(&mut self, vc: usize) {
+        let head = self.vcs.head(vc).map(HeadRecord::of);
+        self.set_head(vc, head);
     }
 
     /// The predicate masks with the state bits recomputed from scratch from
@@ -660,7 +689,7 @@ impl Router {
             e.u32((port[1] - port[0]) as u32);
             for vc in port[0]..port[1] {
                 vc_state_snapshot(e, &self.vc_state[vc]);
-                let (visible, pending) = self.vcs[vc].snapshot_split();
+                let (visible, pending) = self.vcs.snapshot_split(vc);
                 e.u32(visible.len() as u32);
                 for f in &visible {
                     codec::encode_flit(e, f);
@@ -720,10 +749,10 @@ impl Router {
                 self.vc_state[vc] = vc_state_restore(d, &egress_vcs)?;
                 let visible = decode_flits(d)?;
                 let pending = decode_flits(d)?;
-                if visible.len() + pending.len() > self.vcs[vc].capacity() {
+                if visible.len() + pending.len() > self.vcs.capacity(vc) {
                     return Err(corrupt("VC snapshot exceeds buffer capacity"));
                 }
-                self.vcs[vc].restore_split(&visible, &pending);
+                self.vcs.restore_split(vc, &visible, &pending);
             }
         }
         if d.u32()? as usize != self.egress.len() {
@@ -808,15 +837,17 @@ mod tests {
     #[test]
     fn vc_numbers_are_port_major_and_span_mask_words() {
         let r = router(40);
-        assert_eq!(r.vcs.len(), 80);
+        assert_eq!(r.vcs.vc_count(), 80);
         assert_eq!(r.masks.len(), 2, "80 VCs need two mask words");
         assert_eq!(r.vc_port[39], 0);
         assert_eq!(r.vc_port[40], 1);
-        assert!(Arc::ptr_eq(
-            &r.ingress_buffers_from(NodeId::new(1))[0],
-            &r.vcs[0]
-        ));
-        assert!(Arc::ptr_eq(&r.injection_buffers()[0], &r.vcs[40]));
+        assert_eq!(r.ingress_buffers_from(NodeId::new(1)), 0..40);
+        assert_eq!(r.injection_buffers(), 40..80);
+        assert_eq!(r.vc_capacity(39), RouterConfig::default().vc_capacity);
+        assert_eq!(
+            r.vc_capacity(40),
+            RouterConfig::default().injection_vc_capacity
+        );
     }
 
     #[test]
@@ -850,8 +881,7 @@ mod tests {
     /// four downstream VCs.
     fn wired_router() -> Router {
         let mut r = router(4);
-        let buffers = (0..4).map(|_| Arc::new(VcBuffer::new(4))).collect();
-        r.connect_egress(NodeId::new(1), buffers);
+        r.connect_egress(NodeId::new(1), 0..4, 4);
         r
     }
 

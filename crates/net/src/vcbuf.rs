@@ -1,542 +1,388 @@
-//! The ingress virtual-channel buffer — the only data structure shared between
-//! two simulation threads.
+//! The ingress virtual-channel buffers of one router, owned by that router.
 //!
 //! As in the paper (§II-C), each VC buffer has a producer (tail) end written
-//! by the *upstream* router and a consumer (head) end owned by the
-//! *downstream* router. Because these are the only points of communication
-//! between two tiles, correct synchronization of the two ends guarantees that
-//! no flit is lost or reordered regardless of the relative progress of the
-//! two threads.
+//! by the *upstream* router and a consumer (head) end read by the
+//! *downstream* router; these buffers are the only points where two tiles
+//! communicate.
 //!
-//! # Storage and synchronization
+//! # Ownership
 //!
-//! Flits live in a fixed-capacity ring allocated once at construction —
-//! steady-state operation never touches the heap. Three cursors index the
-//! ring, each counting flits monotonically (slot = cursor % capacity):
+//! Every buffer has exactly one owner: the router it feeds. Nothing else
+//! holds a handle to it. The producers reach a buffer by index, through the
+//! owning router:
 //!
-//! * `write_pos` — flits deposited by the producer. Written only by the
-//!   producer endpoint; each deposit is published with a release store
-//!   *after* writing the slot.
-//! * `visible` — the absorb boundary: flits at `read_pos..visible` are visible
-//!   to the consumer's pipeline stages. Advanced by [`absorb_tail`] /
-//!   [`absorb_and_peek`] with a single acquire load of `write_pos`.
-//! * `read_pos` — flits consumed by the owner. Written only by the consumer.
+//! * the upstream router's negative edge, through the pipeline sweep
+//!   ([`kernel`](crate::kernel)), which names the downstream buffer as
+//!   (tile, VC) and applies the push after the upstream tile's router half;
+//! * the local bridge, which the tile lends its router's injection rings;
+//! * a shard's boundary receiver, which the shard lends the target tile's
+//!   router.
 //!
-//! The buffer is a single-producer/single-consumer ring, so no cursor needs a
-//! lock: every buffer has exactly one producer endpoint (the upstream
-//! router's negative edge, the local bridge, or the shard's boundary
-//! receiver) and one consumer endpoint (the owning router), and the sharded
-//! runtimes rewire every cut link onto boundary mailboxes so both endpoints
-//! of an in-shard buffer are driven by the owning shard. This is the same
-//! discipline [`crate::spsc`] relies on; dropping the former tail/head mutex
-//! pair removes two uncontended-but-hot lock round-trips per flit from the
-//! router hot path.
+//! Each backend drives both ends of every in-shard buffer from one thread:
+//! the sharded runtimes rewire every cut link onto [`boundary`] mailboxes,
+//! which are the only structures two threads share. So no cursor needs an
+//! atomic, no slot needs interior mutability, and a router's buffers are
+//! plain data that snapshots, restores and debug checks read directly.
 //!
-//! Occupancy (`write`-side reservations minus completed pops) is kept in an
-//! atomic counter so upstream credit checks stay lock-free, exactly like a
-//! hardware credit loop; an optional *aggregate* counter shared by all buffers
-//! of one router makes the router's `buffered_flits()` / `is_idle()` O(1).
+//! [`boundary`]: crate::boundary
 //!
-//! [`absorb_tail`]: VcBuffer::absorb_tail
-//! [`absorb_and_peek`]: VcBuffer::absorb_and_peek
+//! # Storage
 //!
-//! # Safety argument
-//!
-//! A slot is written only by the producer at index `write_pos`, and read only
-//! by the consumer at indices `read_pos..visible`. Since `visible ≤
-//! write_pos` (published with release/acquire on `write_pos`) the two index
-//! sets never overlap. Slot *reuse* (writing index `r + capacity` while the
-//! consumer pops index `r`) cannot collide either: a push first reserves
-//! space in `occupancy` and pops release it only *after* advancing
-//! `read_pos`, so `occupancy ≥ write_pos − read_pos` at all times and a
-//! successful reservation (`occupancy < capacity`) proves `write_pos −
-//! read_pos < capacity`. The release half of the pop's `occupancy` RMW and
-//! the acquire half of the push's reservation RMW order the consumer's final
-//! read of a slot before the producer's reuse of it.
+//! All rings of a router live in one contiguous flit array, allocated when
+//! the router is built, so steady-state operation never touches the heap.
+//! Each VC has a compact cursor record: where its ring starts in the array,
+//! its capacity, the slot of its head flit, the *absorb boundary* and the
+//! number of resident flits. Flits at the head up to the absorb boundary are
+//! visible to the owner's pipeline stages; flits deposited since the last
+//! [`absorb`](VcRings::absorb) are resident (they occupy space and count
+//! against the upstream's credit) but not yet visible. The router-wide
+//! resident count is one plain counter, so idle checks are O(1).
 
-use crate::flit::Flit;
-use crate::ids::Cycle;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use crate::flit::{Flit, FlitKind, FlitStats};
+use crate::ids::{Cycle, FlowId, NodeId, PacketId};
 
-/// A bounded FIFO of flits with an independently synchronized producer (tail)
-/// and consumer (head) end, backed by a fixed ring allocated at construction.
-pub struct VcBuffer {
-    capacity: usize,
-    /// Ring storage; see the module-level safety argument.
-    slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
-    /// Producer cursor: flits deposited so far. Written only by the producer,
-    /// published with `Release`, read by the consumer with `Acquire`.
-    write_pos: AtomicU64,
-    /// Absorb boundary; written only by the consumer.
-    visible: AtomicU64,
-    /// Flits consumed so far; written only by the consumer.
-    read_pos: AtomicU64,
-    /// Reserved-minus-released flit count; the credit-check value. Lags pops
-    /// by up to one cycle, exactly like a hardware credit loop.
-    occupancy: AtomicUsize,
-    /// Optional router-wide occupancy aggregate (all ingress buffers of one
-    /// router share it), making the router's idle check O(1).
-    aggregate: Option<Arc<AtomicUsize>>,
+/// What an unused ring slot holds; never read as a flit.
+const EMPTY_SLOT: Flit = Flit {
+    packet: PacketId::new(0),
+    flow: FlowId::new(0),
+    original_flow: FlowId::new(0),
+    kind: FlitKind::Body,
+    seq: 0,
+    packet_len: 0,
+    dst: NodeId::new(0),
+    src: NodeId::new(0),
+    visible_at: 0,
+    stats: FlitStats {
+        injected_at: 0,
+        arrived_at_current: 0,
+        accumulated_latency: 0,
+        hops: 0,
+    },
+};
+
+/// Cursor record of one VC ring (20 bytes).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Cursor {
+    /// Index of the ring's first slot in the flit array.
+    base: u32,
+    /// Ring length, in flits.
+    capacity: u32,
+    /// Ring slot of the head flit (the read position).
+    head: u32,
+    /// Absorbed flits from the head on (the absorb boundary).
+    visible: u32,
+    /// Resident flits from the head on, absorbed or not (the write position).
+    len: u32,
 }
 
-// SAFETY: all slot accesses are synchronized as described in the module-level
-// safety argument; `Flit` is `Copy + Send`.
-unsafe impl Send for VcBuffer {}
-unsafe impl Sync for VcBuffer {}
+impl Cursor {
+    /// Array index of the flit `offset` places behind the head.
+    #[inline]
+    fn slot(&self, offset: u32) -> usize {
+        let mut at = self.head + offset;
+        if at >= self.capacity {
+            at -= self.capacity;
+        }
+        (self.base + at) as usize
+    }
+}
 
-impl std::fmt::Debug for VcBuffer {
+/// The ingress VC rings of one router (see the module docs). VCs are
+/// numbered in the order they were added.
+#[derive(Clone, Default)]
+pub struct VcRings {
+    flits: Vec<Flit>,
+    cursors: Vec<Cursor>,
+    /// Flits resident across all rings.
+    buffered: usize,
+}
+
+impl std::fmt::Debug for VcRings {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VcBuffer")
-            .field("capacity", &self.capacity)
-            .field("occupancy", &self.occupancy())
+        f.debug_struct("VcRings")
+            .field("vcs", &self.cursors.len())
+            .field("buffered", &self.buffered)
             .finish()
     }
 }
 
-impl VcBuffer {
-    /// Creates a buffer holding at most `capacity` flits.
+impl VcRings {
+    /// Rings with the given capacities, numbered in order.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        Self::build(capacity, None)
+    /// Panics if a capacity is zero or the rings hold more than `u32::MAX`
+    /// flits in total.
+    pub fn with_capacities(capacities: impl IntoIterator<Item = usize>) -> Self {
+        let mut rings = Self::default();
+        for capacity in capacities {
+            rings.add_vc(capacity);
+        }
+        rings
     }
 
-    /// Creates a buffer that additionally reports its occupancy into a shared
-    /// per-router aggregate counter (see [`occupancy`](Self::occupancy)).
-    pub fn with_aggregate(capacity: usize, aggregate: Arc<AtomicUsize>) -> Self {
-        Self::build(capacity, Some(aggregate))
-    }
-
-    fn build(capacity: usize, aggregate: Option<Arc<AtomicUsize>>) -> Self {
+    /// Adds an empty ring of `capacity` flits and returns its VC number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0` or the rings would hold more than
+    /// `u32::MAX` flits in total.
+    pub fn add_vc(&mut self, capacity: usize) -> usize {
         assert!(
             capacity > 0,
             "a VC buffer needs capacity for at least one flit"
         );
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            capacity,
-            slots,
-            write_pos: AtomicU64::new(0),
-            visible: AtomicU64::new(0),
-            read_pos: AtomicU64::new(0),
-            occupancy: AtomicUsize::new(0),
-            aggregate,
-        }
+        let base = self.flits.len();
+        let end = base
+            .checked_add(capacity)
+            .filter(|&end| end <= u32::MAX as usize)
+            .expect("VC rings exceed u32::MAX flits");
+        self.flits.resize(end, EMPTY_SLOT);
+        self.cursors.push(Cursor {
+            base: base as u32,
+            capacity: capacity as u32,
+            ..Cursor::default()
+        });
+        self.cursors.len() - 1
     }
 
-    /// Buffer capacity in flits.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Number of VCs.
+    pub fn vc_count(&self) -> usize {
+        self.cursors.len()
     }
 
-    /// Current occupancy (flits resident in the buffer). This is the value
-    /// upstream credit checks use; it intentionally lags pops by up to one
-    /// cycle, exactly like a hardware credit loop.
-    pub fn occupancy(&self) -> usize {
-        self.occupancy.load(Ordering::Acquire)
-    }
-
-    /// Free space, in flits.
-    pub fn free_space(&self) -> usize {
-        self.capacity.saturating_sub(self.occupancy())
-    }
-
-    /// Reads slot `pos` of the ring.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the consumer endpoint and ensure `read_pos ≤ pos <
-    /// visible` (the slot holds an initialized flit the producer published
-    /// before the acquire load that advanced `visible`).
+    /// Capacity of VC `vc`, in flits.
     #[inline]
-    unsafe fn read_slot(&self, pos: u64) -> Flit {
-        (*self.slots[(pos % self.capacity as u64) as usize].get()).assume_init()
+    pub fn capacity(&self, vc: usize) -> usize {
+        self.cursors[vc].capacity as usize
     }
 
-    /// Deposits a flit at the tail end. Called by the producer endpoint (the
-    /// upstream router, the local bridge, or the boundary receiver) during
-    /// the tile's negative clock edge; the single-producer discipline in the
-    /// module docs is what makes the lock-free deposit sound.
-    ///
-    /// Returns `false` (and does not enqueue) if the buffer is full; callers
-    /// are expected to have performed a credit check first, so a `false`
-    /// return indicates a flow-control bug and is counted by the router.
+    /// Flits resident in VC `vc`, absorbed or not. This is what the
+    /// upstream's credit count mirrors.
+    #[inline]
+    pub fn occupancy(&self, vc: usize) -> usize {
+        self.cursors[vc].len as usize
+    }
+
+    /// Free space of VC `vc`, in flits.
+    #[inline]
+    pub fn free_space(&self, vc: usize) -> usize {
+        let c = &self.cursors[vc];
+        (c.capacity - c.len) as usize
+    }
+
+    /// Flits resident across all VCs. O(1).
+    #[inline]
+    pub fn buffered(&self) -> usize {
+        self.buffered
+    }
+
+    /// Flits of VC `vc` inside the absorb boundary.
+    pub fn absorbed(&self, vc: usize) -> usize {
+        self.cursors[vc].visible as usize
+    }
+
+    /// Flits of VC `vc` deposited since its last absorb.
+    pub fn unabsorbed(&self, vc: usize) -> usize {
+        let c = &self.cursors[vc];
+        (c.len - c.visible) as usize
+    }
+
+    /// Deposits a flit at the tail of VC `vc`. Returns `false` (and stores
+    /// nothing) if the ring is full; producers check credit first, so a
+    /// `false` return is a flow-control bug the caller counts.
     #[must_use]
-    pub fn push(&self, flit: Flit) -> bool {
-        // Reserve space first so a push racing the consumer's credit release
-        // can never overflow the ring.
-        let prev = self.occupancy.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.capacity {
-            self.occupancy.fetch_sub(1, Ordering::AcqRel);
+    #[inline]
+    pub fn push(&mut self, vc: usize, flit: Flit) -> bool {
+        let c = &mut self.cursors[vc];
+        if c.len == c.capacity {
             return false;
         }
-        if let Some(agg) = &self.aggregate {
-            agg.fetch_add(1, Ordering::AcqRel);
-        }
-        let pos = self.write_pos.load(Ordering::Relaxed);
-        // SAFETY: the successful reservation above proves this slot is not in
-        // `read_pos..write_pos` (module-level safety argument), and the
-        // single-producer discipline excludes concurrent producers.
-        unsafe {
-            (*self.slots[(pos % self.capacity as u64) as usize].get()).write(flit);
-        }
-        self.write_pos.store(pos + 1, Ordering::Release);
+        let at = c.slot(c.len);
+        c.len += 1;
+        self.flits[at] = flit;
+        self.buffered += 1;
         true
     }
 
-    /// Makes flits deposited at the tail end visible to the head end. Called
-    /// by the owning router at the start of its cycle; after this,
-    /// [`peek`](Self::peek) and [`pop_if`](Self::pop_if) observe them.
-    /// Returns the number of flits absorbed.
-    pub fn absorb_tail(&self) -> usize {
-        let published = self.write_pos.load(Ordering::Acquire);
-        let absorbed = published - self.visible.load(Ordering::Relaxed);
-        self.visible.store(published, Ordering::Relaxed);
+    /// Moves the absorb boundary of VC `vc` past every deposited flit, making
+    /// them visible to [`head`](Self::head) and [`pop`](Self::pop). Returns
+    /// the number of flits absorbed.
+    #[inline]
+    pub fn absorb(&mut self, vc: usize) -> usize {
+        let c = &mut self.cursors[vc];
+        let absorbed = c.len - c.visible;
+        c.visible = c.len;
         absorbed as usize
     }
 
-    /// [`absorb_tail`](Self::absorb_tail) plus a snapshot of the head flit.
-    /// This is the router hot path: one call per touched VC per cycle
-    /// replaces the absorb + repeated-`peek` sequence.
-    ///
-    /// The returned flit, if any, ignores the visibility timestamp — callers
-    /// check `visible_at` against their own clock on the (copied) snapshot.
-    pub fn absorb_and_peek(&self) -> (usize, Option<Flit>) {
-        let published = self.write_pos.load(Ordering::Acquire);
-        let absorbed = (published - self.visible.load(Ordering::Relaxed)) as usize;
-        self.visible.store(published, Ordering::Relaxed);
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        let flit = if read_pos < published {
-            // SAFETY: consumer endpoint, read_pos < visible.
-            Some(unsafe { self.read_slot(read_pos) })
-        } else {
-            None
-        };
-        (absorbed, flit)
+    /// The head flit of VC `vc` if it is inside the absorb boundary,
+    /// regardless of its `visible_at` stamp (callers check the stamp).
+    #[inline]
+    pub fn head(&self, vc: usize) -> Option<&Flit> {
+        let c = &self.cursors[vc];
+        (c.visible > 0).then(|| &self.flits[c.slot(0)])
     }
 
-    /// A snapshot of the head flit among the already-absorbed run, without
-    /// advancing the absorb boundary and ignoring the visibility timestamp
-    /// (callers check `visible_at` on the copy). Used by the pipeline sweep
-    /// to refresh a router's head cache after a pop without re-absorbing.
-    pub fn head_snapshot(&self) -> Option<Flit> {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        if read_pos < self.visible.load(Ordering::Relaxed) {
-            // SAFETY: consumer endpoint, read_pos < visible.
-            Some(unsafe { self.read_slot(read_pos) })
-        } else {
-            None
-        }
-    }
-
-    /// Returns a copy of the flit at the head of the buffer, if any, provided
-    /// it has become visible by `now` (its `visible_at` stamp has passed).
-    pub fn peek(&self, now: Cycle) -> Option<Flit> {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        if read_pos < self.visible.load(Ordering::Relaxed) {
-            // SAFETY: consumer endpoint, read_pos < visible.
-            let flit = unsafe { self.read_slot(read_pos) };
-            (flit.visible_at <= now).then_some(flit)
-        } else {
-            None
-        }
-    }
-
-    /// Pops the head flit if it is visible by `now` and `pred` accepts it.
-    pub fn pop_if(&self, now: Cycle, pred: impl FnOnce(&Flit) -> bool) -> Option<Flit> {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        if read_pos >= self.visible.load(Ordering::Relaxed) {
+    /// Pops the head flit of VC `vc` if it is inside the absorb boundary and
+    /// its `visible_at` stamp has come due by `now`.
+    #[inline]
+    pub fn pop(&mut self, vc: usize, now: Cycle) -> Option<Flit> {
+        let c = &mut self.cursors[vc];
+        if c.visible == 0 {
             return None;
         }
-        // SAFETY: consumer endpoint, read_pos < visible.
-        let flit = unsafe { self.read_slot(read_pos) };
-        if flit.visible_at <= now && pred(&flit) {
-            self.read_pos.store(read_pos + 1, Ordering::Relaxed);
-            // Release the slot only after the read completed (see the
-            // module-level safety argument for why this ordering matters).
-            self.occupancy.fetch_sub(1, Ordering::AcqRel);
-            if let Some(agg) = &self.aggregate {
-                agg.fetch_sub(1, Ordering::AcqRel);
-            }
-            Some(flit)
-        } else {
-            None
+        let flit = self.flits[c.slot(0)];
+        if flit.visible_at > now {
+            return None;
         }
+        c.head = if c.head + 1 == c.capacity {
+            0
+        } else {
+            c.head + 1
+        };
+        c.visible -= 1;
+        c.len -= 1;
+        self.buffered -= 1;
+        Some(flit)
     }
 
-    /// Number of flits currently visible at the head end (ignores the
-    /// visibility timestamp; used for statistics).
-    pub fn head_len(&self) -> usize {
-        (self.visible.load(Ordering::Relaxed) - self.read_pos.load(Ordering::Relaxed)) as usize
+    /// A copy of VC `vc`'s contents split at the absorb boundary:
+    /// `(visible, pending)`, each in FIFO order.
+    pub fn snapshot_split(&self, vc: usize) -> (Vec<Flit>, Vec<Flit>) {
+        let c = &self.cursors[vc];
+        let run = |range: std::ops::Range<u32>| range.map(|i| self.flits[c.slot(i)]).collect();
+        (run(0..c.visible), run(c.visible..c.len))
     }
 
-    /// Flits deposited but not yet absorbed (consumer-side query).
-    pub(crate) fn unabsorbed(&self) -> usize {
-        (self.write_pos.load(Ordering::Acquire) - self.visible.load(Ordering::Relaxed)) as usize
-    }
-
-    /// True if the buffer holds no flits at all.
-    pub fn is_empty(&self) -> bool {
-        self.occupancy() == 0
-    }
-
-    /// A non-destructive copy of the buffer's contents, split at the absorb
-    /// boundary: `(visible, pending)` where `visible` holds the flits at
-    /// `read_pos..visible` (already absorbed into the consumer's pipeline
-    /// view) and `pending` the flits at `visible..write_pos` (deposited but
-    /// not yet absorbed). Checkpoint restore replays the two runs around an
-    /// [`absorb_tail`](Self::absorb_tail) call so the restored buffer's
-    /// cursors land exactly where the snapshot's were. Callers must be
-    /// quiescent (no concurrent producer).
-    pub fn snapshot_split(&self) -> (Vec<Flit>, Vec<Flit>) {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        let visible = self.visible.load(Ordering::Relaxed);
-        let published = self.write_pos.load(Ordering::Acquire);
-        let visible_run = (read_pos..visible)
-            // SAFETY: quiescent caller, read_pos ≤ pos < visible.
-            .map(|pos| unsafe { self.read_slot(pos) })
-            .collect();
-        let pending = (visible..published)
-            // SAFETY: quiescent caller (no producer mid-deposit) and every
-            // slot below `write_pos` was initialized by a completed push.
-            .map(|pos| unsafe { self.read_slot(pos) })
-            .collect();
-        (visible_run, pending)
-    }
-
-    /// Restores the contents captured by [`snapshot_split`](Self::snapshot_split)
-    /// into this (empty, freshly built) buffer: the `visible` run is pushed
-    /// and absorbed, the `pending` run pushed but left unabsorbed.
+    /// Refills the empty VC `vc` with the contents captured by
+    /// [`snapshot_split`](Self::snapshot_split): the `visible` run is
+    /// deposited and absorbed, the `pending` run deposited but left
+    /// unabsorbed, so the cursors land where the snapshot's were (up to the
+    /// ring's rotation, which nothing observes).
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is not empty or the snapshot exceeds capacity.
-    pub fn restore_split(&self, visible: &[Flit], pending: &[Flit]) {
-        assert!(self.is_empty(), "restore into a non-empty VC buffer");
+    /// Panics if the VC is not empty or the snapshot exceeds its capacity.
+    pub fn restore_split(&mut self, vc: usize, visible: &[Flit], pending: &[Flit]) {
+        assert_eq!(self.occupancy(vc), 0, "restore into a non-empty VC buffer");
         for f in visible {
-            assert!(self.push(*f), "snapshot exceeds VC buffer capacity");
+            assert!(self.push(vc, *f), "snapshot exceeds VC buffer capacity");
         }
-        self.absorb_tail();
+        self.absorb(vc);
         for f in pending {
-            assert!(self.push(*f), "snapshot exceeds VC buffer capacity");
+            assert!(self.push(vc, *f), "snapshot exceeds VC buffer capacity");
         }
-    }
-
-    /// Drains every flit out of the buffer (test / teardown helper). The
-    /// caller must be quiescent (no concurrent producer).
-    pub fn drain_all(&self) -> Vec<Flit> {
-        let published = self.write_pos.load(Ordering::Acquire);
-        self.visible.store(published, Ordering::Relaxed);
-        let mut read_pos = self.read_pos.load(Ordering::Relaxed);
-        let mut out = Vec::with_capacity((published - read_pos) as usize);
-        while read_pos < published {
-            // SAFETY: quiescent caller, read_pos < visible.
-            out.push(unsafe { self.read_slot(read_pos) });
-            read_pos += 1;
-        }
-        self.read_pos.store(read_pos, Ordering::Relaxed);
-        self.occupancy.fetch_sub(out.len(), Ordering::AcqRel);
-        if let Some(agg) = &self.aggregate {
-            agg.fetch_sub(out.len(), Ordering::AcqRel);
-        }
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, FlitStats};
-    use crate::ids::{FlowId, NodeId, PacketId};
 
     fn flit(seq: u32, visible_at: Cycle) -> Flit {
         Flit {
-            packet: PacketId::new(1),
-            flow: FlowId::new(1),
-            original_flow: FlowId::new(1),
-            kind: if seq == 0 {
-                FlitKind::Head
-            } else {
-                FlitKind::Body
-            },
             seq,
-            packet_len: 8,
-            dst: NodeId::new(1),
-            src: NodeId::new(0),
             visible_at,
-            stats: FlitStats::default(),
+            ..EMPTY_SLOT
         }
     }
 
     #[test]
     fn push_respects_capacity() {
-        let buf = VcBuffer::new(2);
-        assert!(buf.push(flit(0, 0)));
-        assert!(buf.push(flit(1, 0)));
-        assert!(!buf.push(flit(2, 0)));
-        assert_eq!(buf.occupancy(), 2);
-        assert_eq!(buf.free_space(), 0);
+        let mut rings = VcRings::with_capacities([2]);
+        assert!(rings.push(0, flit(0, 0)));
+        assert!(rings.push(0, flit(1, 0)));
+        assert!(!rings.push(0, flit(2, 0)));
+        assert_eq!(rings.occupancy(0), 2);
+        assert_eq!(rings.free_space(0), 0);
     }
 
     #[test]
     fn fifo_order_preserved_across_absorb() {
-        let buf = VcBuffer::new(8);
+        let mut rings = VcRings::with_capacities([8]);
         for i in 0..4 {
-            assert!(buf.push(flit(i, 0)));
+            assert!(rings.push(0, flit(i, 0)));
         }
-        assert_eq!(buf.absorb_tail(), 4);
+        assert_eq!(rings.absorb(0), 4);
         for i in 0..4 {
-            let f = buf.pop_if(10, |_| true).expect("flit present");
-            assert_eq!(f.seq, i);
+            assert_eq!(rings.pop(0, 10).expect("flit present").seq, i);
         }
-        assert!(buf.is_empty());
+        assert_eq!(rings.buffered(), 0);
     }
 
     #[test]
     fn visibility_timestamp_hides_future_flits() {
-        let buf = VcBuffer::new(4);
-        assert!(buf.push(flit(0, 5)));
-        buf.absorb_tail();
-        assert!(buf.peek(4).is_none());
-        assert!(buf.pop_if(4, |_| true).is_none());
-        assert!(buf.peek(5).is_some());
-        assert!(buf.pop_if(5, |_| true).is_some());
+        let mut rings = VcRings::with_capacities([4]);
+        assert!(rings.push(0, flit(0, 5)));
+        rings.absorb(0);
+        assert!(rings.pop(0, 4).is_none());
+        assert_eq!(rings.occupancy(0), 1);
+        assert!(rings.pop(0, 5).is_some());
     }
 
     #[test]
-    fn pop_if_respects_predicate() {
-        let buf = VcBuffer::new(4);
-        assert!(buf.push(flit(0, 0)));
-        buf.absorb_tail();
-        assert!(buf.pop_if(1, |f| f.seq == 9).is_none());
-        assert_eq!(buf.occupancy(), 1);
-        assert!(buf.pop_if(1, |f| f.seq == 0).is_some());
-        assert_eq!(buf.occupancy(), 0);
-    }
-
-    #[test]
-    fn occupancy_counts_both_ends() {
-        let buf = VcBuffer::new(4);
-        assert!(buf.push(flit(0, 0)));
-        buf.absorb_tail();
-        assert!(buf.push(flit(1, 0)));
-        assert_eq!(buf.occupancy(), 2);
-        assert_eq!(buf.head_len(), 1);
-        let drained = buf.drain_all();
-        assert_eq!(drained.len(), 2);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn absorb_and_peek_reports_count_and_snapshot() {
-        let buf = VcBuffer::new(8);
-        assert_eq!(buf.absorb_and_peek(), (0, None));
-        for i in 0..3 {
-            assert!(buf.push(flit(i, 0)));
-        }
-        let (absorbed, head) = buf.absorb_and_peek();
-        assert_eq!(absorbed, 3);
-        assert_eq!(head.unwrap().seq, 0);
-        // Nothing new: count is zero but the snapshot persists.
-        let (absorbed, head) = buf.absorb_and_peek();
-        assert_eq!(absorbed, 0);
-        assert_eq!(head.unwrap().seq, 0);
-    }
-
-    #[test]
-    fn head_snapshot_respects_absorb_boundary() {
-        let buf = VcBuffer::new(8);
-        assert!(buf.push(flit(0, 7)));
-        // Deposited but not absorbed: no head yet.
-        assert!(buf.head_snapshot().is_none());
-        buf.absorb_tail();
+    fn head_respects_absorb_boundary() {
+        let mut rings = VcRings::with_capacities([8]);
+        assert!(rings.push(0, flit(0, 7)));
+        // Deposited but not absorbed: no head yet, but it occupies space.
+        assert!(rings.head(0).is_none());
+        assert_eq!((rings.occupancy(0), rings.unabsorbed(0)), (1, 1));
+        assert_eq!(rings.absorb(0), 1);
         // Absorbed: visible regardless of the `visible_at` stamp.
-        assert_eq!(buf.head_snapshot().unwrap().seq, 0);
-        assert!(buf.pop_if(7, |_| true).is_some());
-        assert!(buf.head_snapshot().is_none());
+        assert_eq!(rings.head(0).unwrap().seq, 0);
+        assert!(rings.push(0, flit(1, 7)));
+        assert_eq!(rings.absorbed(0), 1, "a push never moves the boundary");
+        assert!(rings.pop(0, 7).is_some());
+        assert!(rings.head(0).is_none(), "the next flit is not absorbed");
     }
 
     #[test]
-    fn ring_reuses_slots_across_many_wraps() {
-        let buf = VcBuffer::new(3);
-        let mut next = 0u32;
-        let mut expect = 0u32;
+    fn rings_share_storage_without_interfering() {
+        let mut rings = VcRings::with_capacities([3, 1, 2]);
+        let mut next = [0u32; 3];
+        let mut expect = [0u32; 3];
         for _ in 0..50 {
-            while buf.push(flit(next, 0)) {
-                next += 1;
+            for (vc, next) in next.iter_mut().enumerate() {
+                while rings.push(vc, flit(*next * 3 + vc as u32, 0)) {
+                    *next += 1;
+                }
             }
-            buf.absorb_tail();
-            while let Some(f) = buf.pop_if(u64::MAX, |_| true) {
-                assert_eq!(f.seq, expect);
-                expect += 1;
+            assert_eq!(rings.buffered(), 6);
+            for (vc, expect) in expect.iter_mut().enumerate() {
+                rings.absorb(vc);
+                while let Some(f) = rings.pop(vc, u64::MAX) {
+                    assert_eq!(f.seq, *expect * 3 + vc as u32);
+                    *expect += 1;
+                }
             }
         }
         assert_eq!(next, expect);
-        assert!(next >= 150, "three flits per round expected");
+        assert_eq!(next, [150, 50, 100], "every ring wrapped many times");
     }
 
     #[test]
-    fn aggregate_counter_tracks_all_movements() {
-        let agg = Arc::new(AtomicUsize::new(0));
-        let a = VcBuffer::with_aggregate(4, Arc::clone(&agg));
-        let b = VcBuffer::with_aggregate(4, Arc::clone(&agg));
-        assert!(a.push(flit(0, 0)));
-        assert!(b.push(flit(1, 0)));
-        assert!(b.push(flit(2, 0)));
-        assert_eq!(agg.load(Ordering::Acquire), 3);
-        a.absorb_tail();
-        assert!(a.pop_if(1, |_| true).is_some());
-        assert_eq!(agg.load(Ordering::Acquire), 2);
-        b.drain_all();
-        assert_eq!(agg.load(Ordering::Acquire), 0);
-        // A full buffer's rejected push must not disturb the aggregate.
-        let full = VcBuffer::with_aggregate(1, Arc::clone(&agg));
-        assert!(full.push(flit(0, 0)));
-        assert!(!full.push(flit(1, 0)));
-        assert_eq!(agg.load(Ordering::Acquire), 1);
-    }
+    fn snapshot_split_round_trips_across_a_wrap() {
+        let mut rings = VcRings::with_capacities([3, 3]);
+        for i in 0..2 {
+            assert!(rings.push(1, flit(i, 0)));
+        }
+        rings.absorb(1);
+        assert!(rings.pop(1, 0).is_some());
+        for i in 2..4 {
+            assert!(rings.push(1, flit(i, 0)));
+        }
+        rings.absorb(1);
+        assert!(rings.pop(1, 0).is_some());
+        assert!(rings.push(1, flit(4, 0)));
+        // Ring slots now hold 3, 4, 2 with the head at slot 2.
+        let (visible, pending) = rings.snapshot_split(1);
+        let seqs = |fs: &[Flit]| fs.iter().map(|f| f.seq).collect::<Vec<_>>();
+        assert_eq!((seqs(&visible), seqs(&pending)), (vec![2, 3], vec![4]));
 
-    #[test]
-    fn concurrent_producer_consumer_preserves_order_and_count() {
-        let buf = Arc::new(VcBuffer::new(4));
-        let producer = {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || {
-                let mut pushed = 0u32;
-                while pushed < 1000 {
-                    if buf.push(flit(pushed, 0)) {
-                        pushed += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        let consumer = {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || {
-                let mut expected = 0u32;
-                while expected < 1000 {
-                    buf.absorb_tail();
-                    if let Some(f) = buf.pop_if(u64::MAX, |_| true) {
-                        assert_eq!(f.seq, expected, "flits must arrive in order");
-                        expected += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        producer.join().unwrap();
-        consumer.join().unwrap();
-        assert!(buf.is_empty());
+        let mut fresh = VcRings::with_capacities([3, 3]);
+        fresh.restore_split(1, &visible, &pending);
+        assert_eq!(fresh.snapshot_split(1), (visible, pending));
+        assert_eq!((fresh.absorbed(1), fresh.buffered()), (2, 3));
     }
 }

@@ -551,10 +551,11 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     link.apply_credits(credit_limit);
                 }
                 for rx in self.inbound.iter_mut() {
-                    let delivered = rx.deliver(flit_limit);
+                    let tile = rx.tile();
+                    let delivered = rx.deliver(self.tiles[tile].router_mut(), flit_limit);
                     recv_total += delivered as u64;
                     if delivered > 0 {
-                        kernel.note_external_push(rx.target());
+                        kernel.note_external_push(tile, rx.vc());
                     }
                 }
                 kernel.posedge(self.tiles, next);
@@ -573,7 +574,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 }
                 kernel.negedge(self.tiles, next);
                 for rx in self.inbound.iter_mut() {
-                    rx.emit_credits(next);
+                    rx.emit_credits(self.tiles[rx.tile()].router(), next);
                 }
                 if p.track_ledger {
                     // Publish the termination ledger *before* advancing the

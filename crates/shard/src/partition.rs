@@ -208,6 +208,19 @@ impl Partition {
         &self.members[shard]
     }
 
+    /// The position of a tile within its shard's member list: its index in
+    /// the shard's tile slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the partitioned range.
+    pub fn local_index(&self, node: NodeId) -> usize {
+        let members = self.members(self.shard_of(node));
+        members
+            .binary_search(&node.index())
+            .expect("a tile is a member of its own shard")
+    }
+
     /// All shards' member lists, in shard order.
     pub fn all_members(&self) -> &[Vec<usize>] {
         &self.members

@@ -632,7 +632,8 @@ impl ShardRuntime {
         // into the real ingress buffers (race-free without a barrier).
         for result in &mut results {
             for rx in result.inbound.drain(..) {
-                rx.flush();
+                let tile = rx.tile();
+                rx.flush(result.tiles[tile].router_mut());
             }
         }
 
@@ -743,8 +744,8 @@ struct Wiring {
     cut_count: usize,
 }
 
-/// Replaces the shared ingress buffers of every cut link with boundary
-/// mailboxes and collects the per-shard endpoint lists.
+/// Replaces the local channels of every cut link with boundary mailboxes
+/// and collects the per-shard endpoint lists.
 fn wire_boundaries(nodes: &mut [NetworkNode], partition: &Partition) -> Wiring {
     let shards = partition.shard_count();
     // The topology's edge list, as the routers see it; the partitioner turns
@@ -777,13 +778,22 @@ fn wire_boundaries(nodes: &mut [NetworkNode], partition: &Partition) -> Wiring {
             let src_id = nodes[src].node();
             let dst_id = nodes[dst].node();
             let (s_src, s_dst) = (partition.shard_of(src_id), partition.shard_of(dst_id));
-            let targets = nodes[dst].router().ingress_buffers_from(src_id).to_vec();
+            let target = nodes[dst].router();
+            let targets = target.ingress_buffers_from(src_id);
             // Seed the sender's credit view with the buffer's current
             // occupancy: wiring may happen mid-simulation, with flits from a
             // previous run still resident downstream.
             let links: Vec<Arc<BoundaryLink>> = targets
+                .clone()
+                .map(|vc| {
+                    BoundaryLink::with_resident(target.vc_capacity(vc), target.vc_occupancy(vc))
+                })
+                .collect();
+            let tile = partition.local_index(dst_id);
+            let receivers: Vec<BoundaryRx> = links
                 .iter()
-                .map(|t| BoundaryLink::with_resident(t.capacity(), t.occupancy()))
+                .zip(targets)
+                .map(|(link, vc)| BoundaryRx::new(Arc::clone(link), tile, vc, target))
                 .collect();
             let channels: Vec<EgressChannel> = links
                 .iter()
@@ -796,33 +806,25 @@ fn wire_boundaries(nodes: &mut [NetworkNode], partition: &Partition) -> Wiring {
                 wiring.phase_wait[s_src] = true;
                 wiring.phase_wait[s_dst] = true;
             }
-            wiring.outbound[s_src].extend(links.iter().cloned());
-            wiring.inbound[s_dst].extend(
-                links
-                    .into_iter()
-                    .zip(targets)
-                    .map(|(link, target)| BoundaryRx::new(link, target)),
-            );
+            wiring.outbound[s_src].extend(links);
+            wiring.inbound[s_dst].extend(receivers);
             wiring.directed.push((src, dst));
         }
     }
     wiring
 }
 
-/// Restores direct shared-buffer wiring on every previously cut link. The
-/// caller flushed all in-flight mailbox flits into the real ingress buffers,
-/// so this is a pure pointer swap.
+/// Restores local channels on every previously cut link. The caller
+/// flushed all in-flight mailbox flits into the real ingress buffers, so
+/// this only swaps channel names.
 fn unwire_boundaries(nodes: &mut [NetworkNode], directed: &[(usize, usize)]) {
     for &(src, dst) in directed {
         let src_id = nodes[src].node();
         let dst_id = nodes[dst].node();
-        let channels: Vec<EgressChannel> = nodes[dst]
-            .router()
-            .ingress_buffers_from(src_id)
-            .iter()
-            .cloned()
-            .map(EgressChannel::Local)
-            .collect();
+        let target = nodes[dst].router();
+        let vcs = target.ingress_buffers_from(src_id);
+        let capacity = target.vc_capacity(vcs.start);
+        let channels = EgressChannel::locals(dst_id, vcs, capacity);
         nodes[src]
             .router_mut()
             .swap_egress_channels(dst_id, channels);

@@ -207,7 +207,7 @@ pub fn restore_shard(
         // tile restore changed the ingress occupancy; re-read it so credit
         // emission starts from the checkpointed state, then fold the owed
         // credits back in.
-        rx.reset_baseline();
+        rx.reset_baseline(tiles[rx.tile()].router());
         let owed = d.u64()?;
         rx.restore_owed(owed);
     }

@@ -3,14 +3,27 @@
 use hornet::mem::cache::{Cache, CacheConfig, LineState};
 use hornet::mem::directory::{DirState, DirectorySlice};
 use hornet::mem::msg::MemMessage;
-use hornet::net::flit::Packet;
+use hornet::net::flit::{Flit, Packet};
 use hornet::net::geometry::Geometry;
 use hornet::net::ids::NodeId;
 use hornet::net::ids::{FlowId, PacketId};
 use hornet::net::routing::{build_routing, trace_route, FlowSpec, RoutingKind};
-use hornet::net::vcbuf::VcBuffer;
+use hornet::net::vcbuf::VcRings;
 use hornet::traffic::trace::{Trace, TraceEvent};
 use proptest::prelude::*;
+
+/// The one flit of a single-flit packet, visible from cycle 0.
+fn one_flit_packet() -> Flit {
+    Packet::new(
+        PacketId::new(1),
+        FlowId::new(0),
+        NodeId::new(0),
+        NodeId::new(1),
+        1,
+        0,
+    )
+    .to_flits(0)[0]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -52,113 +65,132 @@ proptest! {
         }
     }
 
-    /// The VC buffer never exceeds its capacity, never loses flits, and
-    /// preserves FIFO order for any interleaving of pushes and pops.
+    /// A router's VC ring never exceeds its capacity, never loses flits, and
+    /// preserves FIFO order for any interleaving of pushes and pops — with
+    /// the ring sharing its router's flit array with neighbouring rings that
+    /// stay full throughout.
     #[test]
     fn vc_buffer_is_a_bounded_fifo(
         capacity in 1usize..8,
         ops in proptest::collection::vec(any::<bool>(), 1..200),
     ) {
-        let packet = Packet::new(
-            PacketId::new(1),
-            FlowId::new(0),
-            NodeId::new(0),
-            NodeId::new(1),
-            1,
-            0,
-        );
-        let template = packet.to_flits(0)[0];
-        let buf = VcBuffer::new(capacity);
+        let template = one_flit_packet();
+        let mut rings = VcRings::with_capacities([2, capacity, 3]);
+        for (vc, n) in [(0, 2), (2, 3)] {
+            for _ in 0..n {
+                prop_assert!(rings.push(vc, template));
+            }
+        }
         let mut pushed = 0u32;
         let mut popped = 0u32;
         for push in ops {
             if push {
                 let mut flit = template;
                 flit.seq = pushed;
-                if buf.push(flit) {
+                if rings.push(1, flit) {
                     pushed += 1;
                 }
             } else {
-                buf.absorb_tail();
-                if let Some(f) = buf.pop_if(u64::MAX, |_| true) {
+                rings.absorb(1);
+                if let Some(f) = rings.pop(1, u64::MAX) {
                     prop_assert_eq!(f.seq, popped, "FIFO order violated");
                     popped += 1;
                 }
             }
-            prop_assert!(buf.occupancy() <= capacity);
-            prop_assert_eq!(buf.occupancy() as u32, pushed - popped);
+            prop_assert!(rings.occupancy(1) <= capacity);
+            prop_assert_eq!(rings.occupancy(1) as u32, pushed - popped);
+            prop_assert_eq!(rings.buffered() as u32, 5 + pushed - popped);
+        }
+        for (vc, n) in [(0, 2), (2, 3)] {
+            prop_assert_eq!(rings.occupancy(vc), n, "a neighbouring ring changed");
         }
     }
 
-    /// The fixed-capacity ring storage behind `VcBuffer` behaves exactly like
-    /// a capacity-bounded two-segment `VecDeque` reference model under any
-    /// sequence of push / absorb / pop_if / drain operations: same accept
-    /// decisions, same absorb counts, same popped values, same occupancy and
-    /// head lengths.
+    /// The router's VC rings behave exactly like a capacity-bounded
+    /// two-segment `VecDeque` reference model per VC under any sequence of
+    /// push / absorb / pop / snapshot-and-restore operations: same accept
+    /// decisions, same absorb counts, same popped values and heads, same
+    /// occupancy and absorb boundaries. A snapshot split at the absorb
+    /// boundary and restored into fresh rings must carry on identically.
     #[test]
     fn vc_ring_matches_vecdeque_reference(
-        capacity in 1usize..8,
-        ops in proptest::collection::vec((0u8..8, any::<bool>()), 1..200),
+        capacities in proptest::collection::vec(1usize..6, 1..4),
+        ops in proptest::collection::vec((0u8..8, 0usize..4, any::<bool>()), 1..200),
     ) {
         use std::collections::VecDeque;
-        let packet = Packet::new(
-            PacketId::new(1),
-            FlowId::new(0),
-            NodeId::new(0),
-            NodeId::new(1),
-            1,
-            0,
-        );
-        let template = packet.to_flits(0)[0];
-        let buf = VcBuffer::new(capacity);
-        // Reference model: `pending` holds deposited-but-unabsorbed flits,
-        // `absorbed` the ones visible to the consumer.
-        let mut pending: VecDeque<u32> = VecDeque::new();
-        let mut absorbed: VecDeque<u32> = VecDeque::new();
+        let template = one_flit_packet();
+        let mut rings = VcRings::with_capacities(capacities.clone());
+        // Reference model per VC: `pending` holds deposited-but-unabsorbed
+        // flits, `absorbed` the ones visible to the owner.
+        let mut pending: Vec<VecDeque<u32>> = vec![VecDeque::new(); capacities.len()];
+        let mut absorbed: Vec<VecDeque<u32>> = vec![VecDeque::new(); capacities.len()];
         let mut next_seq = 0u32;
-        for (op, flag) in ops {
+        for (op, vc, flag) in ops {
+            let vc = vc % capacities.len();
             match op {
                 // Push (weighted 3/8 so buffers actually fill up).
                 0..=2 => {
                     let mut flit = template;
                     flit.seq = next_seq;
-                    let accepted = buf.push(flit);
-                    let model_accepts = pending.len() + absorbed.len() < capacity;
+                    // Odd flits become visible at cycle 1, even ones at 0.
+                    flit.visible_at = u64::from(next_seq % 2);
+                    let accepted = rings.push(vc, flit);
+                    let model_accepts = pending[vc].len() + absorbed[vc].len() < capacities[vc];
                     prop_assert_eq!(accepted, model_accepts, "push decision diverged");
                     if accepted {
-                        pending.push_back(next_seq);
+                        pending[vc].push_back(next_seq);
                         next_seq += 1;
                     }
                 }
                 // Absorb: every pending flit becomes visible, and the count
                 // is reported (the absorbed-flit statistic).
                 3 => {
-                    let n = buf.absorb_tail();
-                    prop_assert_eq!(n, pending.len(), "absorb count diverged");
-                    absorbed.extend(pending.drain(..));
+                    let n = rings.absorb(vc);
+                    prop_assert_eq!(n, pending[vc].len(), "absorb count diverged");
+                    let moved: Vec<u32> = pending[vc].drain(..).collect();
+                    absorbed[vc].extend(moved);
                 }
-                // Pop with a predicate that accepts or rejects the head.
+                // Pop at cycle 0 or 1: an odd head is not yet due at 0.
                 4..=6 => {
-                    let popped = buf.pop_if(u64::MAX, |_| flag);
-                    let model_pops = flag && !absorbed.is_empty();
+                    let now = u64::from(flag);
+                    let popped = rings.pop(vc, now);
+                    let model_pops = absorbed[vc]
+                        .front()
+                        .is_some_and(|&seq| u64::from(seq % 2) <= now);
                     prop_assert_eq!(popped.is_some(), model_pops, "pop decision diverged");
                     if let Some(f) = popped {
-                        let expect = absorbed.pop_front().unwrap();
+                        let expect = absorbed[vc].pop_front().unwrap();
                         prop_assert_eq!(f.seq, expect, "pop order diverged");
                     }
                 }
-                // Drain everything (teardown path), absorbed before pending.
+                // Checkpoint: split every VC at its absorb boundary and
+                // carry on in fresh rings restored from the split.
                 _ => {
-                    let drained: Vec<u32> = buf.drain_all().iter().map(|f| f.seq).collect();
-                    let expect: Vec<u32> =
-                        absorbed.drain(..).chain(pending.drain(..)).collect();
-                    prop_assert_eq!(drained, expect, "drain order diverged");
+                    let mut fresh = VcRings::with_capacities(capacities.clone());
+                    for v in 0..capacities.len() {
+                        let (visible, deposited) = rings.snapshot_split(v);
+                        let seqs = |fs: &[Flit]| {
+                            fs.iter().map(|f| f.seq).collect::<Vec<_>>()
+                        };
+                        prop_assert_eq!(seqs(&visible), Vec::from(absorbed[v].clone()));
+                        prop_assert_eq!(seqs(&deposited), Vec::from(pending[v].clone()));
+                        fresh.restore_split(v, &visible, &deposited);
+                    }
+                    rings = fresh;
                 }
             }
-            prop_assert_eq!(buf.occupancy(), pending.len() + absorbed.len());
-            prop_assert_eq!(buf.head_len(), absorbed.len());
-            let head = buf.peek(u64::MAX).map(|f| f.seq);
-            prop_assert_eq!(head, absorbed.front().copied(), "peek diverged");
+            let mut buffered = 0;
+            for v in 0..capacities.len() {
+                let resident = pending[v].len() + absorbed[v].len();
+                buffered += resident;
+                prop_assert_eq!(rings.occupancy(v), resident);
+                prop_assert_eq!(rings.free_space(v), capacities[v] - resident);
+                prop_assert_eq!(rings.absorbed(v), absorbed[v].len());
+                prop_assert_eq!(rings.unabsorbed(v), pending[v].len());
+                let head = rings.head(v).map(|f| f.seq);
+                prop_assert_eq!(head, absorbed[v].front().copied(), "head diverged");
+            }
+            prop_assert_eq!(rings.buffered(), buffered);
         }
     }
 
