@@ -16,7 +16,7 @@
 //! * [`router`] — the router's ports, per-VC state and predicate masks;
 //! * [`kernel`] — the RC/VA/SA/ST router pipeline with randomized
 //!   arbitration, swept stage by stage across a set of tiles;
-//! * [`vcbuf`] — the lock-free SPSC ingress VC buffer shared between tiles;
+//! * [`vcbuf`] — the ingress VC rings each router owns;
 //! * [`boundary`] — lock-free SPSC flit/credit mailboxes for links cut
 //!   between two shards of a partitioned parallel simulation;
 //! * [`link`] — bandwidth-adaptive bidirectional links;

@@ -272,7 +272,7 @@ impl Router {
         let injection_port = upstream.len() - 1;
 
         let mut ingress_offsets = vec![0];
-        let mut vcs = VcRings::default();
+        let mut capacities = Vec::new();
         let mut vc_port = Vec::new();
         for p in 0..upstream.len() {
             let (count, capacity) = if p == injection_port {
@@ -280,12 +280,11 @@ impl Router {
             } else {
                 (cfg.vcs_per_port, cfg.vc_capacity)
             };
-            for _ in 0..count {
-                vcs.add_vc(capacity);
-                vc_port.push(p as u32);
-            }
-            ingress_offsets.push(vcs.vc_count());
+            capacities.extend(std::iter::repeat_n(capacity, count));
+            vc_port.extend(std::iter::repeat_n(p as u32, count));
+            ingress_offsets.push(capacities.len());
         }
+        let vcs = VcRings::with_capacities(capacities);
 
         let mut egress = Vec::with_capacity(neighbors.len() + 1);
         let egress_nodes: Vec<NodeId> = neighbors.to_vec();

@@ -87,8 +87,8 @@ impl Cursor {
     }
 }
 
-/// The ingress VC rings of one router (see the module docs). VCs are
-/// numbered in the order they were added.
+/// The ingress VC rings of one router (see the module docs), numbered in
+/// the order [`with_capacities`](Self::with_capacities) lists them.
 #[derive(Clone, Default)]
 pub struct VcRings {
     flits: Vec<Flit>,
@@ -107,43 +107,39 @@ impl std::fmt::Debug for VcRings {
 }
 
 impl VcRings {
-    /// Rings with the given capacities, numbered in order.
+    /// Rings with the given capacities, numbered in order, in one flit
+    /// array allocated to fit.
     ///
     /// # Panics
     ///
     /// Panics if a capacity is zero or the rings hold more than `u32::MAX`
     /// flits in total.
     pub fn with_capacities(capacities: impl IntoIterator<Item = usize>) -> Self {
-        let mut rings = Self::default();
-        for capacity in capacities {
-            rings.add_vc(capacity);
+        let mut total = 0u32;
+        let cursors: Vec<Cursor> = capacities
+            .into_iter()
+            .map(|capacity| {
+                assert!(
+                    capacity > 0,
+                    "a VC buffer needs capacity for at least one flit"
+                );
+                let capacity = u32::try_from(capacity).expect("VC capacity fits u32");
+                let base = total;
+                total = total
+                    .checked_add(capacity)
+                    .expect("VC rings exceed u32::MAX flits");
+                Cursor {
+                    base,
+                    capacity,
+                    ..Cursor::default()
+                }
+            })
+            .collect();
+        Self {
+            flits: vec![EMPTY_SLOT; total as usize],
+            cursors,
+            buffered: 0,
         }
-        rings
-    }
-
-    /// Adds an empty ring of `capacity` flits and returns its VC number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or the rings would hold more than
-    /// `u32::MAX` flits in total.
-    pub fn add_vc(&mut self, capacity: usize) -> usize {
-        assert!(
-            capacity > 0,
-            "a VC buffer needs capacity for at least one flit"
-        );
-        let base = self.flits.len();
-        let end = base
-            .checked_add(capacity)
-            .filter(|&end| end <= u32::MAX as usize)
-            .expect("VC rings exceed u32::MAX flits");
-        self.flits.resize(end, EMPTY_SLOT);
-        self.cursors.push(Cursor {
-            base: base as u32,
-            capacity: capacity as u32,
-            ..Cursor::default()
-        });
-        self.cursors.len() - 1
     }
 
     /// Number of VCs.
