@@ -449,7 +449,7 @@ impl EgressChannel {
 
     /// The boundary link, for a cut channel.
     #[inline]
-    pub fn boundary(&self) -> Option<&Arc<BoundaryLink>> {
+    pub(crate) fn boundary(&self) -> Option<&Arc<BoundaryLink>> {
         match self {
             EgressChannel::Local { .. } => None,
             EgressChannel::Boundary(l) => Some(l),

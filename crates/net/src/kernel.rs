@@ -391,8 +391,8 @@ impl MeshKernel {
     }
 
     /// Marks VC `vc` of tile `tile` (an index into the swept tiles) dirty
-    /// after an out-of-band push, e.g. a boundary delivery from another
-    /// shard, so the next positive edge re-absorbs it.
+    /// after a push the sweep did not make itself, e.g. a boundary delivery
+    /// from another shard, so the next positive edge re-absorbs it.
     ///
     /// # Panics
     ///
@@ -877,16 +877,17 @@ impl MeshKernel {
     /// Applies the pushes the last router half staged to their downstream
     /// routers and marks the target VCs dirty.
     fn apply_outbox(&mut self, nodes: &mut [NetworkNode]) {
-        for &(target, flit) in &self.outbox {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        for (target, flit) in outbox.drain(..) {
             let (tile, vc) = unpack_target(target);
             assert!(
                 nodes[tile].router.vcs.push(vc, flit),
                 "{}: a credited push found VC {vc} full",
                 nodes[tile].node
             );
-            self.dirty[self.tile_words[tile] as usize + vc / 64] |= 1 << (vc % 64);
+            self.note_external_push(tile, vc);
         }
-        self.outbox.clear();
+        self.outbox = outbox;
     }
 
     /// Debug check: a VC whose dirty bit is clear has nothing beyond its
@@ -1251,6 +1252,7 @@ mod tests {
             k.downstream_scratch.as_ptr() as usize,
             k.vca_scratch.as_ptr() as usize,
             k.staged_count.as_ptr() as usize,
+            k.outbox.as_ptr() as usize,
         ];
         for n in nodes {
             let r = &n.router;

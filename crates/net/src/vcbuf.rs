@@ -89,7 +89,6 @@ impl Cursor {
 
 /// The ingress VC rings of one router (see the module docs), numbered in
 /// the order [`with_capacities`](Self::with_capacities) lists them.
-#[derive(Clone, Default)]
 pub struct VcRings {
     flits: Vec<Flit>,
     cursors: Vec<Cursor>,
@@ -171,11 +170,6 @@ impl VcRings {
     #[inline]
     pub fn buffered(&self) -> usize {
         self.buffered
-    }
-
-    /// Flits of VC `vc` inside the absorb boundary.
-    pub fn absorbed(&self, vc: usize) -> usize {
-        self.cursors[vc].visible as usize
     }
 
     /// Flits of VC `vc` deposited since its last absorb.
@@ -328,7 +322,7 @@ mod tests {
         // Absorbed: visible regardless of the `visible_at` stamp.
         assert_eq!(rings.head(0).unwrap().seq, 0);
         assert!(rings.push(0, flit(1, 7)));
-        assert_eq!(rings.absorbed(0), 1, "a push never moves the boundary");
+        assert_eq!(rings.unabsorbed(0), 1, "a push never moves the boundary");
         assert!(rings.pop(0, 7).is_some());
         assert!(rings.head(0).is_none(), "the next flit is not absorbed");
     }
@@ -379,6 +373,6 @@ mod tests {
         let mut fresh = VcRings::with_capacities([3, 3]);
         fresh.restore_split(1, &visible, &pending);
         assert_eq!(fresh.snapshot_split(1), (visible, pending));
-        assert_eq!((fresh.absorbed(1), fresh.buffered()), (2, 3));
+        assert_eq!((fresh.unabsorbed(1), fresh.buffered()), (1, 3));
     }
 }

@@ -185,7 +185,6 @@ proptest! {
                 buffered += resident;
                 prop_assert_eq!(rings.occupancy(v), resident);
                 prop_assert_eq!(rings.free_space(v), capacities[v] - resident);
-                prop_assert_eq!(rings.absorbed(v), absorbed[v].len());
                 prop_assert_eq!(rings.unabsorbed(v), pending[v].len());
                 let head = rings.head(v).map(|f| f.seq);
                 prop_assert_eq!(head, absorbed[v].front().copied(), "head diverged");
