@@ -158,19 +158,15 @@ pub fn build_shards(
         }
         let group = &channels[i..j];
         let (s_src, s_dst) = (group[0].src_shard, group[0].dst_shard);
-        let target = nodes[dst.index()].router();
-        let targets = target.ingress_buffers_from(src);
-        assert_eq!(targets.len(), group.len(), "VC count mismatch on cut link");
-        let links: Vec<Arc<BoundaryLink>> = targets
-            .clone()
-            .map(|vc| BoundaryLink::with_resident(target.vc_capacity(vc), target.vc_occupancy(vc)))
-            .collect();
-        let tile = partition.local_index(dst);
-        let receivers: Vec<BoundaryRx> = links
-            .iter()
-            .zip(targets)
-            .map(|(link, vc)| BoundaryRx::new(Arc::clone(link), tile, vc, target))
-            .collect();
+        let receivers =
+            BoundaryRx::wire_from(nodes[dst.index()].router(), src, partition.local_index(dst));
+        assert_eq!(
+            receivers.len(),
+            group.len(),
+            "VC count mismatch on cut link"
+        );
+        let links: Vec<Arc<BoundaryLink>> =
+            receivers.iter().map(|rx| Arc::clone(rx.link())).collect();
         let egress: Vec<EgressChannel> = links
             .iter()
             .map(|l| EgressChannel::Boundary(Arc::clone(l)))

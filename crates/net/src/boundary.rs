@@ -288,11 +288,33 @@ pub struct BoundaryRx {
 }
 
 impl BoundaryRx {
+    /// Receiver endpoints for every ingress VC that `router` — the router of
+    /// the shard's tile number `tile` — receives from upstream node `from`,
+    /// in VC order, each on a fresh link. A link's sender credit window
+    /// starts at its VC's current occupancy: wiring may happen
+    /// mid-simulation, with flits from a previous run still resident
+    /// downstream. The sender's egress port takes the links
+    /// ([`link`](Self::link)) as its boundary channels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is not a neighbour of `router`.
+    pub fn wire_from(router: &Router, from: NodeId, tile: usize) -> Vec<Self> {
+        router
+            .ingress_buffers_from(from)
+            .map(|vc| {
+                let link =
+                    BoundaryLink::with_resident(router.vc_capacity(vc), router.vc_occupancy(vc));
+                Self::new(link, tile, vc, router)
+            })
+            .collect()
+    }
+
     /// Creates the receiver endpoint draining `link` into ingress VC `vc` of
     /// `router`, the router of the shard's tile number `tile`. The VC's
     /// current occupancy becomes the credit baseline and must match the
     /// `resident` count the link was created with.
-    pub fn new(link: Arc<BoundaryLink>, tile: usize, vc: usize, router: &Router) -> Self {
+    fn new(link: Arc<BoundaryLink>, tile: usize, vc: usize, router: &Router) -> Self {
         Self {
             link,
             tile,

@@ -198,6 +198,17 @@ fn boundary_link(r: &Router, egress: usize, out_vc: usize) -> &BoundaryLink {
         .expect("credit table marks a local channel as cut")
 }
 
+/// The downstream free space of egress channel `out_vc` of port `egress` of
+/// router `r`, whose `credit` table entry is given: the entry itself, or
+/// the link's own count for a cut channel.
+#[inline]
+fn free_space(credit: u32, r: &Router, egress: usize, out_vc: usize) -> usize {
+    match credit {
+        BOUNDARY => boundary_link(r, egress, out_vc).free_space(),
+        free => free as usize,
+    }
+}
+
 /// The router pipeline over one tile set (see the module docs).
 pub struct MeshKernel {
     /// Start of each tile's words in `dirty` / `inj_mask` (length
@@ -400,16 +411,6 @@ impl MeshKernel {
     #[inline]
     pub fn note_external_push(&mut self, tile: usize, vc: usize) {
         self.dirty[self.tile_words[tile] as usize + vc / 64] |= 1 << (vc % 64);
-    }
-
-    /// The downstream free space of channel slot `slot` of router `r`
-    /// (egress port `egress`, downstream VC `out_vc`).
-    #[inline]
-    fn free_space(&self, r: &Router, slot: usize, egress: usize, out_vc: usize) -> usize {
-        match self.credit[slot] {
-            BOUNDARY => boundary_link(r, egress, out_vc).free_space(),
-            free => free as usize,
-        }
     }
 
     /// Returns one credit to the channel feeding flat ingress VC `flat_vc`,
@@ -649,7 +650,7 @@ impl MeshKernel {
                 0
             };
             if c.egress != r.ejection_port
-                && self.free_space(r, row + key, c.egress, c.out_vc) <= already as usize
+                && free_space(self.credit[row + key], r, c.egress, c.out_vc) <= already as usize
             {
                 continue; // no downstream credit
             }
@@ -722,10 +723,7 @@ impl MeshKernel {
                     self.downstream_stamp[egress] = self.downstream_gen;
                     let credits = &self.credit[row + lo..row + lo + e.buffers.len()];
                     for (i, (slot, ch)) in downstream.iter_mut().zip(&e.buffers).enumerate() {
-                        let occupancy = match credits[i] {
-                            BOUNDARY => boundary_link(r, egress, i).occupancy(),
-                            free => ch.capacity() - free as usize,
-                        };
+                        let occupancy = ch.capacity() - free_space(credits[i], r, egress, i);
                         let out = &e.out_state[i];
                         *slot = DownstreamVc {
                             vc: VcId::new(i as u16),
@@ -1028,10 +1026,7 @@ fn most_free_space(
             let row = &credits[e * stride..e * stride + r.egress[e].buffers.len()];
             row.iter()
                 .enumerate()
-                .map(|(v, &credit)| match credit {
-                    BOUNDARY => boundary_link(r, e, v).free_space() as u64,
-                    free => u64::from(free),
-                })
+                .map(|(v, &credit)| free_space(credit, r, e, v) as u64)
                 .sum()
         };
         let tiebreak = rng.gen::<u64>();

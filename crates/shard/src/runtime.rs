@@ -778,23 +778,10 @@ fn wire_boundaries(nodes: &mut [NetworkNode], partition: &Partition) -> Wiring {
             let src_id = nodes[src].node();
             let dst_id = nodes[dst].node();
             let (s_src, s_dst) = (partition.shard_of(src_id), partition.shard_of(dst_id));
-            let target = nodes[dst].router();
-            let targets = target.ingress_buffers_from(src_id);
-            // Seed the sender's credit view with the buffer's current
-            // occupancy: wiring may happen mid-simulation, with flits from a
-            // previous run still resident downstream.
-            let links: Vec<Arc<BoundaryLink>> = targets
-                .clone()
-                .map(|vc| {
-                    BoundaryLink::with_resident(target.vc_capacity(vc), target.vc_occupancy(vc))
-                })
-                .collect();
-            let tile = partition.local_index(dst_id);
-            let receivers: Vec<BoundaryRx> = links
-                .iter()
-                .zip(targets)
-                .map(|(link, vc)| BoundaryRx::new(Arc::clone(link), tile, vc, target))
-                .collect();
+            let receivers =
+                BoundaryRx::wire_from(nodes[dst].router(), src_id, partition.local_index(dst_id));
+            let links: Vec<Arc<BoundaryLink>> =
+                receivers.iter().map(|rx| Arc::clone(rx.link())).collect();
             let channels: Vec<EgressChannel> = links
                 .iter()
                 .map(|l| EgressChannel::Boundary(Arc::clone(l)))
