@@ -33,7 +33,7 @@
 //!
 //! Each stage collects its candidates by walking the routers' predicate
 //! masks (`VcMasks` in [`router`](crate::router): cached head, Routed,
-//! Active, Dropping), so it only ever visits VCs it can act on. Three
+//! Active, Dropping), so it only ever visits VCs it can act on. Four
 //! properties make the sweep cheap:
 //!
 //! * **Quiet tiles cost O(1).** A tile with no buffered flit skips absorb,
@@ -65,8 +65,8 @@
 //! slot, and panics if the target is not one of the swept tiles. A tile's
 //! router half stages its pushes in a small outbox, and the sweep applies
 //! them to the downstream routers by index as soon as that router half
-//! ends — exactly where the pushes used to land — so two routers are never
-//! borrowed at once.
+//! ends: every later router half sees them (bandwidth-adaptive demand
+//! counts resident flits), and two routers are never borrowed at once.
 //!
 //! **Credits.** Beside `egress_target` the sweep keeps `credit`, the
 //! downstream free space of every local egress channel, as the sender sees
@@ -81,8 +81,8 @@
 //! occupancy changes only through pushes from its one upstream channel and
 //! pops by its router, both at the negative edge, and each updates the
 //! credit in the same step — so at every positive edge `credit` equals
-//! capacity minus occupancy, which is what the credit check read before.
-//! Debug builds assert that equality at every positive edge.
+//! capacity minus occupancy, the downstream free space itself. Debug
+//! builds assert that equality at every positive edge.
 //!
 //! **Exactness.** Running stages tile-by-tile within a block, and blocks one
 //! after another, computes exactly what a stage-major sweep over all tiles
@@ -100,11 +100,11 @@
 //! Stage timers lap once per block and per stage; agent ticks run outside
 //! them.
 //!
-//! Debug builds assert the sweep's invariants after every edge: each
-//! router's state masks equal the masks derived from its VC states, every
-//! cached head record equals its buffer's absorbed head, no VC left
-//! un-dirtied has anything to absorb, and every credit equals its
-//! downstream free space.
+//! Debug builds assert the sweep's invariants: after every edge, each
+//! router's state masks equal the masks derived from its VC states; after
+//! absorb, every cached head record equals its buffer's absorbed head; and
+//! before every positive edge, no VC left un-dirtied has anything to absorb
+//! and every credit equals its downstream free space.
 
 use crate::boundary::{BoundaryLink, EgressChannel};
 use crate::flit::Flit;
